@@ -12,17 +12,7 @@ import os
 import sys
 
 from . import closed_forms, enumeration, verify
-from .errors import (
-    BoundExceeded,
-    DomainTooSmall,
-    EdgeListParseError,
-    EmptyClass,
-    InvalidSpec,
-    RevWienerError,
-    SpecParseError,
-    TreeValidationError,
-    UnknownTheorem,
-)
+from .errors import BoundExceeded, RevWienerError, SpecParseError
 from .families import build, diam4, parse_family_spec
 from .invariants import metrics
 from .tree import diameter_and_centers, format_edge_list, parse_edge_list
@@ -44,8 +34,9 @@ def _tie_cap_from_env(k: int) -> int:
         budget = int(raw)
     except ValueError:
         raise SpecParseError(f"{MAX_MEM_ENV} must be an integer byte count, got {raw!r}")
-    # A canonical code costs on the order of 256 bytes; split the budget
-    # evenly across the k value buckets.
+    # A kept tree costs on the order of 256 bytes: one level sequence while
+    # the walk runs, one canonical code once it ends, for the kept trees
+    # only.  Split the budget evenly across the k value buckets.
     return max(1, budget // (max(1, k) * 256))
 
 
@@ -93,12 +84,19 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise SpecParseError(f"--{name} must be at least 1, got {value}")
+
+
 def _tree_line(t) -> str:
     return " ".join(f"{u}-{v}" for u, v in t.edges)
 
 
 def cmd_enumerate(args) -> int:
     n = args.n
+    _require_positive(n=n)
     if args.diameter == 4 and n > args.max_n_free:
         trees = (diam4(s) for s in enumeration.gen_diam4_specs(n))
     else:
@@ -123,6 +121,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _require_positive(n=args.n, k=args.k)
     entries = enumeration.rank_trees(
         args.n, args.k, max_n=args.max_n_free, tie_cap=_tie_cap_from_env(args.k)
     )
@@ -227,6 +226,8 @@ def cmd_verify(args) -> int:
         n_from, n_to = 5, 40
     else:
         raise SpecParseError("verify needs --n or both --n-from and --n-to")
+    if n_from > n_to and args.theorem != "lemmas":
+        raise SpecParseError(f"empty n range {n_from}..{n_to}: nothing to verify")
     report = verify.run_verification(
         args.theorem,
         n_from,
@@ -314,22 +315,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (BoundExceeded,) as exc:
+    except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (
-        EdgeListParseError,
-        TreeValidationError,
-        InvalidSpec,
-        SpecParseError,
-        DomainTooSmall,
-        EmptyClass,
-        UnknownTheorem,
-        FileNotFoundError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RevWienerError as exc:
+    except (RevWienerError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ Everything is streamed; nothing materializes a full class.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -112,39 +112,37 @@ def _levels_to_tree(levels: list[int]) -> Tree:
 
 
 def _levels_metrics(levels: list[int]) -> tuple[int, int, int]:
-    """(wiener, diameter, reverse_wiener) straight from a level sequence."""
+    """(wiener, diameter, reverse_wiener) in one reverse pass over a level sequence.
+
+    Scanning right to left, the children of the vertex met at level l are
+    the vertices at level l + 1 seen since the last vertex at level l.  So
+    index l + 1 of ``size`` holds that vertex's subtree size less one, and
+    of ``top1`` and ``top2`` the two largest heights + 1 among its children.
+    W is the edge-cut sum of s(n - s) over subtree sizes s, and d is the
+    largest top1 + top2 over all vertices.
+    """
     n = len(levels)
-    if n == 1:
-        return 0, 0, 0
-    parent = _levels_to_parents(levels)
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-    w = sum(size[i] * (n - size[i]) for i in range(1, n))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        adj[i].append(parent[i])
-        adj[parent[i]].append(i)
-
-    def farthest(src: int) -> tuple[int, int]:
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        best = src
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    if dist[v] > dist[best]:
-                        best = v
-                    queue.append(v)
-        return best, dist[best]
-
-    u, _ = farthest(0)
-    _, d = farthest(u)
-    lam = n * (n - 1) * d // 2 - w
-    return w, d, lam
+    size = [0] * (n + 1)
+    top1 = [0] * (n + 1)
+    top2 = [0] * (n + 1)
+    w = d = 0
+    for lvl in reversed(levels):
+        below = lvl + 1
+        s = size[below] + 1
+        a = top1[below]
+        b = top2[below]
+        size[below] = top1[below] = top2[below] = 0
+        if a + b > d:
+            d = a + b
+        w += s * (n - s)
+        size[lvl] += s
+        a += 1
+        if a > top1[lvl]:
+            top2[lvl] = top1[lvl]
+            top1[lvl] = a
+        elif a > top2[lvl]:
+            top2[lvl] = a
+    return w, d, n * (n - 1) * d // 2 - w
 
 
 # --- generation ---------------------------------------------------------------
@@ -247,42 +245,43 @@ class RankEntry:
 
 
 class _Buckets:
-    """Keeps the k smallest distinct values with bounded tie sets."""
+    """Keeps the k smallest distinct values, each with its first tie_cap level sequences.
+
+    A tie set holds level sequences in arrival order; past ``tie_cap`` it is
+    only flagged truncated.  Trees and canonical codes are built in
+    :meth:`entries`, for the kept sequences alone.
+    """
 
     def __init__(self, k: int, tie_cap: int) -> None:
         self.k = k
         self.tie_cap = tie_cap
-        self.data: dict[int, tuple[set[str], bool]] = {}
+        self.data: dict[int, list] = {}  # value -> [level sequences, truncated]
+        self.threshold: int | None = None  # largest kept value, once k are kept
 
-    def threshold(self) -> int | None:
-        if len(self.data) < self.k:
-            return None
-        return max(self.data)
-
-    def admits(self, value: int) -> bool:
-        thr = self.threshold()
-        return thr is None or value <= thr
-
-    def add(self, value: int, code: str) -> None:
-        if value in self.data:
-            codes, truncated = self.data[value]
-            if code not in codes:
-                if len(codes) < self.tie_cap:
-                    codes.add(code)
-                else:
-                    self.data[value] = (codes, True)
+    def add(self, value: int, levels: list[int]) -> None:
+        entry = self.data.get(value)
+        if entry is not None:
+            if len(entry[0]) < self.tie_cap:
+                entry[0].append(levels)
+            else:
+                entry[1] = True
             return
-        thr = self.threshold()
-        if thr is not None and value > thr:
+        if self.threshold is not None and value > self.threshold:
             return
-        self.data[value] = ({code}, False)
+        self.data[value] = [[levels], False]
         if len(self.data) > self.k:
             del self.data[max(self.data)]
+        if len(self.data) == self.k:
+            self.threshold = max(self.data)
 
     def entries(self) -> list[RankEntry]:
         return [
-            RankEntry(value=v, trees=tuple(sorted(codes)), truncated=trunc)
-            for v, (codes, trunc) in sorted(self.data.items())
+            RankEntry(
+                value=v,
+                trees=tuple(sorted(canonical_code(_levels_to_tree(levels)) for levels in ties)),
+                truncated=truncated,
+            )
+            for v, (ties, truncated) in sorted(self.data.items())
         ]
 
 
@@ -298,10 +297,10 @@ def rank_trees(
     if n > max_n:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
     buckets = _Buckets(k, tie_cap)
+    # The generator yields a fresh list each time (_successor_rooted copies)
+    # and never changes it afterwards, so the buckets may keep it as is.
     for levels in free_tree_level_sequences(n):
-        _, _, lam = _levels_metrics(levels)
-        if buckets.admits(lam):
-            buckets.add(lam, canonical_code(_levels_to_tree(levels)))
+        buckets.add(_levels_metrics(levels)[2], levels)
     return buckets.entries()
 
 
@@ -361,24 +360,13 @@ def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> ExtremalResult:
         return ExtremalResult(rank=rank, value=value, attaining=tuple(specs), notes=notes)
     if n > max_n_free:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n_free}")
-    found: list[list] = []  # [value, codes], at most 2, sorted by value
+    buckets = _Buckets(2, sys.maxsize)
     for levels in free_tree_level_sequences(n):
         _, diam, lam = _levels_metrics(levels)
-        if diam != d:
-            continue
-        if len(found) == 2 and lam > found[1][0]:
-            continue
-        code = canonical_code(_levels_to_tree(levels))
-        for entry in found:
-            if entry[0] == lam:
-                entry[1].append(code)
-                break
-        else:
-            found.append([lam, [code]])
-            found.sort(key=lambda e: e[0])
-            del found[2:]
-    if len(found) <= index:
+        if diam == d:
+            buckets.add(lam, levels)
+    entries = buckets.entries()
+    if len(entries) <= index:
         raise EmptyClass(f"fewer than {index + 1} distinct values at (n={n}, d={d})")
-    value, codes = found[index]
     # Attaining trees are carried as canonical codes on this route.
-    return ExtremalResult(rank=rank, value=value, attaining=tuple(sorted(codes)), notes=())
+    return ExtremalResult(rank=rank, value=entries[index].value, attaining=entries[index].trees, notes=())

@@ -173,10 +173,7 @@ def parse_family_spec(text: str) -> DoubleStarSpec | Diam4Spec:
     text = text.strip()
     m = _D_RE.match(text)
     if m:
-        try:
-            return DoubleStarSpec(n=int(m.group(1)), a=int(m.group(2)))
-        except InvalidSpec:
-            raise
+        return DoubleStarSpec(n=int(m.group(1)), a=int(m.group(2)))
     m = _T_RE.match(text)
     if m:
         body = m.group(1).strip()

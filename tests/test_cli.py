@@ -106,6 +106,12 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "25")
         assert code == EXIT_BOUND and "error:" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_usage(self, capsys, n):
+        code, out, err = run(capsys, "enumerate", "--n", n)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestRank:
     def test_human(self, capsys):
@@ -140,6 +146,12 @@ class TestRank:
     def test_bound_exceeded(self, capsys):
         code, _, _ = run(capsys, "rank", "--n", "30", "--k", "1")
         assert code == EXIT_BOUND
+
+    @pytest.mark.parametrize("n, k", [("5", "0"), ("5", "-1"), ("0", "3"), ("-2", "3")])
+    def test_nonpositive_n_or_k_is_usage(self, capsys, n, k):
+        code, out, err = run(capsys, "rank", "--n", n, "--k", k)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestClosedForm:
@@ -195,6 +207,13 @@ class TestVerify:
     def test_missing_range_is_usage(self, capsys):
         code, _, err = run(capsys, "verify", "prop-f4")
         assert code == EXIT_USAGE and "error:" in err
+
+    @pytest.mark.parametrize("theorem", ["smallest", "prop-d3", "prop-f4"])
+    def test_empty_range_is_usage(self, capsys, theorem):
+        # A campaign that checks nothing must not pass.
+        code, out, err = run(capsys, "verify", theorem, "--n-from", "10", "--n-to", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(

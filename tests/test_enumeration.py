@@ -1,8 +1,13 @@
 """Generators and ranking oracles, cross-validated against independent routes."""
 
+from functools import lru_cache
+
 import pytest
 
 from revwiener.enumeration import (
+    _levels_metrics,
+    _levels_to_tree,
+    free_tree_level_sequences,
     free_trees_by_extension,
     gen_diam4_specs,
     gen_free_trees,
@@ -13,7 +18,7 @@ from revwiener.enumeration import (
 )
 from revwiener.errors import BoundExceeded, EmptyClass
 from revwiener.families import diam4, star
-from revwiener.invariants import reverse_wiener
+from revwiener.invariants import metrics, reverse_wiener
 from revwiener.tree import canonical_code, diameter_and_centers
 
 # Number of free (unlabeled) trees on n = 1..12 vertices.
@@ -44,6 +49,15 @@ class TestFreeTrees:
     def test_nonpositive_n(self):
         with pytest.raises(BoundExceeded):
             list(gen_free_trees(0))
+
+
+class TestLevelsMetrics:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_bfs_and_edge_cut(self, n):
+        # invariants.metrics takes d from BFS and W from the edge-cut sum.
+        for levels in free_tree_level_sequences(n):
+            m = metrics(_levels_to_tree(levels))
+            assert _levels_metrics(levels) == (m.wiener, m.diameter, m.reverse_wiener)
 
 
 class TestLabeledTrees:
@@ -88,26 +102,39 @@ class TestRankTrees:
         assert entries[0].trees == (canonical_code(star(2)),)
 
     def test_matches_direct_sort(self):
-        # Compare against the naive full sort at n = 9.
-        by_value: dict[int, set[str]] = {}
-        for t in gen_free_trees(9):
-            by_value.setdefault(reverse_wiener(t), set()).add(canonical_code(t))
-        expected = sorted(by_value.items())[:4]
-        entries = rank_trees(9, 4)
-        assert [(e.value, set(e.trees)) for e in entries] == expected
-        assert not any(e.truncated for e in entries)
+        # Compare against the naive full sort; k = 50 is more values than exist.
+        for n in range(6, 12):
+            ranked = _full_sort(n)
+            for k in (4, 50):
+                entries = rank_trees(n, k)
+                assert [(e.value, set(e.trees)) for e in entries] == [(v, set(c)) for v, c in ranked[:k]]
+                assert not any(e.truncated for e in entries)
 
     def test_tie_cap_truncates(self):
-        entries = rank_trees(10, 3, tie_cap=1)
-        assert all(len(e.trees) <= 1 for e in entries)
-        full = rank_trees(10, 3)
-        assert [e.value for e in entries] == [e.value for e in full]
-        for capped, whole in zip(entries, full):
-            assert capped.truncated == (len(whole.trees) > 1)
+        # A tie set keeps the first tie_cap trees in generator order and is
+        # flagged truncated past the cap.
+        for n in range(6, 12):
+            ranked = _full_sort(n)
+            for k in (3, 50):
+                for tie_cap in (1, 2):
+                    entries = rank_trees(n, k, tie_cap=tie_cap)
+                    assert [e.value for e in entries] == [v for v, _ in ranked[:k]]
+                    for entry, (_, codes) in zip(entries, ranked):
+                        assert entry.trees == tuple(sorted(codes[:tie_cap]))
+                        assert entry.truncated == (len(codes) > tie_cap)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             rank_trees(25, 2)
+
+
+@lru_cache(maxsize=None)
+def _full_sort(n):
+    """Every distinct reverse-Wiener value on n vertices, with its codes in generator order."""
+    by_value: dict[int, list[str]] = {}
+    for t in gen_free_trees(n):
+        by_value.setdefault(reverse_wiener(t), []).append(canonical_code(t))
+    return sorted(by_value.items())
 
 
 class TestClassExtrema:
