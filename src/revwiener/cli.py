@@ -1,7 +1,7 @@
 """Command-line surface: stats, construct, enumerate, rank, closed-form, verify.
 
 Exit codes: 0 all good / all records match, 1 verification mismatch,
-2 usage or parse error, 3 resource bound exceeded.
+2 usage or parse error, 3 resource bound exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import closed_forms, enumeration, verify
-from .errors import BoundExceeded, RevWienerError, SpecParseError
+from .errors import BoundExceeded, InternalCheckFailed, RevWienerError, SpecParseError
 from .families import build, diam4, parse_family_spec
 from .invariants import metrics
 from .tree import diameter_and_centers, format_edge_list, parse_edge_list
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 MAX_MEM_ENV = "REVWIENER_MAX_MEM"
 
@@ -226,7 +227,11 @@ def cmd_verify(args) -> int:
         n_from, n_to = 5, 40
     else:
         raise SpecParseError("verify needs --n or both --n-from and --n-to")
-    if n_from > n_to and args.theorem != "lemmas":
+    if args.theorem == "lemmas":
+        _require_positive(trials=args.trials)
+        if n_to < 7:
+            raise SpecParseError(f"lemmas needs --n or --n-to of at least 7, got {n_to}")
+    elif n_from > n_to:
         raise SpecParseError(f"empty n range {n_from}..{n_to}: nothing to verify")
     report = verify.run_verification(
         args.theorem,
@@ -318,9 +323,15 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except InternalCheckFailed as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RevWienerError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainTooSmall, InvalidSpec
+from .errors import DomainTooSmall, InternalCheckFailed, InvalidSpec
 from .families import Diam4Spec, DoubleStarSpec, normalize
 
 
@@ -27,7 +27,8 @@ def qr_decompose(n: int) -> QR:
         raise DomainTooSmall(f"q,r decomposition needs n >= 2, got {n}")
     q = math.isqrt(n - 1)
     r = n - q * q
-    assert 1 <= r <= 2 * q + 1 and q * q + r == n
+    if not 1 <= r <= 2 * q + 1:
+        raise InternalCheckFailed(f"q,r decomposition of {n} gave q={q}, r={r}")
     return QR(n=n, q=q, r=r)
 
 
@@ -54,7 +55,8 @@ def f_n2(n: int) -> int:
 
 
 def _half(num: int) -> int:
-    assert num % 2 == 0
+    if num % 2:
+        raise InternalCheckFailed(f"{num} should be even")
     return num // 2
 
 
@@ -62,7 +64,7 @@ def f_n3(n: int) -> int:
     """Minimum reverse Wiener index over diameter-3 trees (double stars).
 
     Two equivalent expressions (floor form and q,r form) are evaluated and
-    cross-asserted to catch transcription slips.
+    cross-checked to catch transcription slips.
     """
     if n < 4:
         raise DomainTooSmall(f"f(n,3) needs n >= 4, got {n}")
@@ -71,9 +73,8 @@ def f_n3(n: int) -> int:
     q, r = qr.q, qr.r
     num = q**4 + 2 * r * q * q + 6 * q * q + r * r + 6 * r
     num -= 7 if n % 2 == 1 else 8
-    assert num % 4 == 0
-    qr_form = num // 4
-    assert floor_form == qr_form, (n, floor_form, qr_form)
+    if num % 4 or num // 4 != floor_form:
+        raise InternalCheckFailed(f"f({n},3): floor form {floor_form}, q,r form {num}/4")
     return floor_form
 
 
@@ -98,7 +99,8 @@ def f_n4_value(n: int) -> int:
 def f_n4(n: int) -> ExtremalResult:
     """Minimum over diameter-4 trees with its attaining set by r-case."""
     value = f_n4_value(n)
-    q, r = qr_decompose(n).q, qr_decompose(n).r
+    qr = qr_decompose(n)
+    q, r = qr.q, qr.r
     if r == 1:
         raw = [(0, [(q - 1, q)])]
     elif r <= q:
@@ -115,7 +117,8 @@ def g_n4_value(n: int) -> int:
     """Branch formula for the second-smallest over diameter-4 trees."""
     if n < 6:
         raise DomainTooSmall(f"g(n,4) needs n >= 6, got {n}")
-    q, r = qr_decompose(n).q, qr_decompose(n).r
+    qr = qr_decompose(n)
+    q, r = qr.q, qr.r
     if r <= q - 1:
         return 2 * q**3 + q * q + 3 * r * q - 3 * q + 2 * r
     if r == q + 2:
@@ -204,7 +207,8 @@ def second_smallest(n: int) -> ExtremalResult:
         )
     if n == 57:
         d4 = f_n4(57)
-        assert d4.value == f_n3(57) == 896
+        if not d4.value == f_n3(57) == 896:
+            raise InternalCheckFailed(f"f(57,4) = {d4.value}, f(57,3) = {f_n3(57)}; both should be 896")
         return ExtremalResult(
             rank="overall-2nd",
             value=896,
@@ -231,7 +235,8 @@ def third_smallest(n: int) -> ExtremalResult:
         # g(57,3) = g(57,4) = 898: the diameter-3 and diameter-4 second
         # minima coincide, so the tie set spans both classes.
         d4 = g_n4(57)
-        assert d4.value == g_n3(57) == 898
+        if not d4.value == g_n3(57) == 898:
+            raise InternalCheckFailed(f"g(57,4) = {d4.value}, g(57,3) = {g_n3(57)}; both should be 898")
         return ExtremalResult(
             rank="overall-3rd",
             value=898,

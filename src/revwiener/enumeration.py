@@ -7,12 +7,16 @@ each size class by attaching a leaf to every vertex of every smaller class
 representative and deduplicating by canonical code; the two routes are
 cross-validated in the test suite.
 
+The diameter-4 oracle walks the classes as integer partitions, one run
+of equal parts per recursion level, and carries k and the sum of b*v^2
+down the walk, so each class gets its reverse Wiener index from a few
+integer operations instead of a closed-form call.
+
 Everything is streamed; nothing materializes a full class.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -20,8 +24,8 @@ from typing import Iterator
 
 from .closed_forms import ExtremalResult
 from .errors import BoundExceeded, EmptyClass
-from .families import Diam4Spec, lambda_diam4_closed
-from .tree import Tree, canonical_code, from_edge_list
+from .families import Diam4Spec
+from .tree import Tree, canonical_code, from_edge_list, from_pruefer
 
 DEFAULT_MAX_N_FREE = 20
 DEFAULT_MAX_N_DIAM4 = 80
@@ -160,27 +164,8 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[Tree]:
 
 def gen_labeled_trees(n: int) -> Iterator[Tree]:
     """All labeled trees on n vertices, decoded from Pruefer sequences."""
-    if n == 1:
-        yield from_edge_list(1, [])
-        return
-    if n == 2:
-        yield from_edge_list(2, [(0, 1)])
-        return
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        heap = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-        yield from_edge_list(n, edges)
+    for seq in product(range(n), repeat=max(n - 2, 0)):
+        yield from_pruefer(n, seq)
 
 
 def free_trees_by_extension(n: int) -> dict[str, Tree]:
@@ -199,19 +184,40 @@ def free_trees_by_extension(n: int) -> dict[str, Tree]:
     return classes
 
 
-def _partitions_desc(total: int, max_part: int, min_parts: int) -> Iterator[list[int]]:
-    """Partitions of ``total`` into parts >= 2, descending, at least min_parts parts."""
-    def rec(rest: int, cap: int, acc: list[int]) -> Iterator[list[int]]:
-        if rest == 0:
-            if len(acc) >= min_parts:
-                yield acc
-            return
-        for part in range(min(cap, rest), 1, -1):
-            if rest - part == 1:  # a leftover of 1 can never be a part >= 2
-                continue
-            yield from rec(rest - part, part, acc + [part])
+def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
+    """(reverse Wiener index, spec) for every diameter-4 class on n vertices.
 
-    yield from rec(total, max_part, [])
+    For each hub pendant count n0, the other n - 1 - n0 vertices split into
+    blocks of v + 1 (a spoke and its v leaves).  The walk picks one run of
+    equal blocks per level, v and then its multiplicity b both descending,
+    and carries k and the sum of b*v^2 down, so a class costs a few integer
+    operations and the one spec it yields.
+    """
+    # The index is 2n(n-1) - W with W = (n-1)(2n-3) - (n-2)(n0 + k) - sum b*v^2,
+    # the formula of families.wiener_diam4_closed.
+    top = 2 * n * (n - 1) - (n - 1) * (2 * n - 3)
+    m = n - 2
+
+    def runs(rest, cap, n0, k, sq, parts):
+        # Blocks of size c = v + 1 <= cap + 1 fill ``rest``; ``parts`` holds
+        # the larger values already chosen, ascending.
+        for c in range(min(cap + 1, rest), 2, -1):
+            v = c - 1
+            for b in range(rest // c, 0, -1):
+                left = rest - b * c
+                if left == 0:
+                    spec = Diam4Spec(n0=n0, parts=((v, b),) + parts)
+                    yield top + m * (n0 + k + b) + sq + b * v * v, spec
+                elif left > 1:  # a leftover of 1 cannot be a block
+                    yield from runs(left, v - 1, n0, k + b, sq + b * v * v, ((v, b),) + parts)
+        if rest % 2 == 0:  # blocks of 2 are the last run: they must fill the rest
+            b = rest // 2
+            yield top + m * (n0 + k + b) + sq + b, Diam4Spec(n0=n0, parts=((1, b),) + parts)
+
+    for n0 in range(n - 4):
+        rest = n - 1 - n0
+        # A first block of at most rest - 2 leaves room for a second one (k >= 2).
+        yield from runs(rest, rest - 3, n0, 0, 0, ())
 
 
 def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
@@ -219,17 +225,12 @@ def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
 
     A hub pendant count n0 plus a partition of the remaining n-1-n0
     vertices into k >= 2 blocks of size n_i+1 >= 2 is a bijection onto the
-    classes.
+    classes.  The stream runs n0 ascending, then the partitions in reverse
+    lexicographic order.  It walks them one run of equal blocks per level
+    and carries the signature (k, sum of b*v^2) along; see _diam4_classes.
     """
-    if n < 5:
-        return
-    for n0 in range(0, n - 4):
-        rest = n - 1 - n0
-        for parts in _partitions_desc(rest, rest, 2):
-            counts: dict[int, int] = {}
-            for block in parts:
-                counts[block - 1] = counts.get(block - 1, 0) + 1
-            yield Diam4Spec(n0=n0, parts=tuple(sorted(counts.items())))
+    for _, spec in _diam4_classes(n):
+        yield spec
 
 
 # --- ranking and class minima ---------------------------------------------------
@@ -245,34 +246,39 @@ class RankEntry:
 
 
 class _Buckets:
-    """Keeps the k smallest distinct values, each with its first tie_cap level sequences.
+    """Keeps the k smallest distinct values, each with its first tie_cap items.
 
-    A tie set holds level sequences in arrival order; past ``tie_cap`` it is
-    only flagged truncated.  Trees and canonical codes are built in
-    :meth:`entries`, for the kept sequences alone.
+    A tie set holds items in arrival order; past ``tie_cap`` it is only
+    flagged truncated.  For :func:`rank_trees` the items are level
+    sequences, and :meth:`entries` builds trees and canonical codes for the
+    kept ones alone.
     """
 
     def __init__(self, k: int, tie_cap: int) -> None:
         self.k = k
         self.tie_cap = tie_cap
-        self.data: dict[int, list] = {}  # value -> [level sequences, truncated]
+        self.data: dict[int, list] = {}  # value -> [items, truncated]
         self.threshold: int | None = None  # largest kept value, once k are kept
 
-    def add(self, value: int, levels: list[int]) -> None:
+    def add(self, value: int, item) -> None:
         entry = self.data.get(value)
         if entry is not None:
             if len(entry[0]) < self.tie_cap:
-                entry[0].append(levels)
+                entry[0].append(item)
             else:
                 entry[1] = True
             return
         if self.threshold is not None and value > self.threshold:
             return
-        self.data[value] = [[levels], False]
+        self.data[value] = [[item], False]
         if len(self.data) > self.k:
             del self.data[max(self.data)]
         if len(self.data) == self.k:
             self.threshold = max(self.data)
+
+    def ties(self) -> list[tuple[int, list, bool]]:
+        """(value, items in arrival order, truncated), by increasing value."""
+        return [(v, items, truncated) for v, (items, truncated) in sorted(self.data.items())]
 
     def entries(self) -> list[RankEntry]:
         return [
@@ -281,7 +287,7 @@ class _Buckets:
                 trees=tuple(sorted(canonical_code(_levels_to_tree(levels)) for levels in ties)),
                 truncated=truncated,
             )
-            for v, (ties, truncated) in sorted(self.data.items())
+            for v, ties, truncated in self.ties()
         ]
 
 
@@ -304,25 +310,12 @@ def rank_trees(
     return buckets.entries()
 
 
-def _min2_diam4_specs(n: int, tie_cap: int = DEFAULT_TIE_CAP):
+def _min2_diam4_specs(n: int, tie_cap: int = DEFAULT_TIE_CAP) -> list[tuple[int, list[Diam4Spec], bool]]:
     """Two smallest reverse-Wiener values over diameter-4 classes, with spec ties."""
-    best: list[list] = []  # [value, specs, truncated], at most 2, sorted by value
-    for spec in gen_diam4_specs(n):
-        lam = lambda_diam4_closed(spec)
-        placed = False
-        for entry in best:
-            if entry[0] == lam:
-                if len(entry[1]) < tie_cap:
-                    entry[1].append(spec)
-                else:
-                    entry[2] = True
-                placed = True
-                break
-        if not placed:
-            best.append([lam, [spec], False])
-            best.sort(key=lambda e: e[0])
-            del best[2:]
-    return best
+    buckets = _Buckets(2, tie_cap)
+    for lam, spec in _diam4_classes(n):
+        buckets.add(lam, spec)
+    return buckets.ties()
 
 
 def min_lambda_diam(
@@ -352,10 +345,10 @@ def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> ExtremalResult:
     if d == 4:
         if n > max_n_diam4:
             raise BoundExceeded(f"n={n} exceeds diameter-4 bound {max_n_diam4}")
-        best = _min2_diam4_specs(n)
-        if len(best) <= index:
+        minima = _min2_diam4_specs(n)
+        if len(minima) <= index:
             raise EmptyClass(f"fewer than {index + 1} distinct values at (n={n}, d=4)")
-        value, specs, truncated = best[index]
+        value, specs, truncated = minima[index]
         notes = ("tie set truncated",) if truncated else ()
         return ExtremalResult(rank=rank, value=value, attaining=tuple(specs), notes=notes)
     if n > max_n_free:

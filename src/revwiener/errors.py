@@ -61,3 +61,7 @@ class EmptyClass(RevWienerError):
 
 class UnknownTheorem(RevWienerError, ValueError):
     """Unrecognized theorem id passed to the verifier."""
+
+
+class InternalCheckFailed(RevWienerError):
+    """A result failed one of the package's own consistency checks: a bug."""

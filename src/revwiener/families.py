@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidSpec, SpecParseError
+from .errors import InternalCheckFailed, InvalidSpec, SpecParseError
 from .tree import Tree, from_edge_list
 
 
@@ -142,7 +142,8 @@ def lambda_double_star_closed(spec: DoubleStarSpec) -> int:
     """Closed form for the reverse Wiener index of D_{n,a}."""
     n, a = spec.n, spec.a
     num = n * n + 3 * n
-    assert num % 2 == 0
+    if num % 2:
+        raise InternalCheckFailed(f"n^2 + 3n = {num} should be even")
     return num // 2 - 2 - a * (n - a)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalCheckFailed
 from .tree import Tree, bfs_distances, diameter_and_centers, edge_cut_profile
 
 
@@ -29,7 +30,8 @@ def wiener_edge_cut(t: Tree) -> int:
 def wiener_bfs(t: Tree) -> int:
     """W(T) as the halved sum of all single-source BFS distance vectors."""
     total = sum(sum(bfs_distances(t, s)) for s in range(t.n))
-    assert total % 2 == 0
+    if total % 2:
+        raise InternalCheckFailed(f"distance sum {total} over ordered pairs should be even")
     return total // 2
 
 
@@ -37,7 +39,8 @@ def reverse_wiener(t: Tree) -> int:
     """Reverse Wiener index: n(n-1)d/2 - W, exact."""
     d, _ = diameter_and_centers(t)
     prod = t.n * (t.n - 1) * d
-    assert prod % 2 == 0
+    if prod % 2:
+        raise InternalCheckFailed(f"n(n-1)d = {prod} should be even")
     return prod // 2 - wiener_edge_cut(t)
 
 

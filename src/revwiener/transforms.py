@@ -10,7 +10,7 @@ outputs are deterministic.
 
 from __future__ import annotations
 
-from .errors import PreconditionFailed
+from .errors import InternalCheckFailed, PreconditionFailed
 from .families import Diam4Spec, normalize
 from .tree import Tree, diameter_and_centers, edge_cut_profile, from_edge_list, rooted_subtree_sizes
 
@@ -115,7 +115,8 @@ def lemma3_rebalance(spec: Diam4Spec, i: int, j: int) -> tuple[Diam4Spec, int]:
     raw = [(ni, bi - 1), (nj, bj - 1), (ni - 1, 1), (nj + 1, 1)]
     raw.extend(part for idx, part in enumerate(parts) if idx not in (i, j))
     out = normalize(spec.n0, raw)
-    assert out.n == spec.n and out.k == spec.k and out.n0 == spec.n0
+    if (out.n, out.k, out.n0) != (spec.n, spec.k, spec.n0):
+        raise InternalCheckFailed(f"rebalancing {spec} gave {out}, which changes n, k or n0")
     return out, -2 * (ni - nj - 1)
 
 
@@ -146,6 +147,7 @@ def lemma5_contract(t: Tree) -> tuple[Tree, int]:
         edges.append((a2, b2))
     out = from_edge_list(n, edges)
     half = n * (n - 1)
-    assert half % 2 == 0
+    if half % 2:
+        raise InternalCheckFailed(f"n(n-1) = {half} should be even")
     delta = -(half // 2 - n1 * n2 + (n - 1))
     return out, delta

@@ -7,6 +7,7 @@ threads.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -77,6 +78,29 @@ def from_edge_list(n: int, edges) -> Tree:
     if reached != n:
         raise Disconnected(f"edge set reaches {reached} of {n} vertices")
     return Tree(n=n, edges=tuple(normalized), adj=tuple(tuple(a) for a in adj))
+
+
+def from_pruefer(n: int, seq) -> Tree:
+    """The labeled tree on n vertices whose Pruefer sequence is ``seq`` (length n - 2).
+
+    Each step joins the smallest current leaf to the next entry of ``seq``;
+    the last two leaves form the final edge.
+    """
+    if n < 2:
+        return from_edge_list(n, [])
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    heap = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(heap)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(heap), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(heap, v)
+    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+    return from_edge_list(n, edges)
 
 
 def bfs_distances(t: Tree, source: int) -> list[int]:

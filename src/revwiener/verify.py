@@ -11,17 +11,17 @@ records are merged back in n order.
 
 from __future__ import annotations
 
-import heapq
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import closed_forms, enumeration, transforms
-from .errors import UnknownTheorem
+from .errors import DomainTooSmall, InternalCheckFailed, UnknownTheorem
 from .families import Diam4Spec, DoubleStarSpec, build, diam4, double_star, star
 from .invariants import reverse_wiener
-from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list
+from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer
 
 SCHEMA_VERSION = "revwiener-report/1"
 
@@ -145,60 +145,32 @@ def _records_smallest(n: int, bounds: dict) -> list[Record]:
     ]
 
 
-def _records_second_smallest(n: int, bounds: dict) -> list[Record]:
-    entries = enumeration.rank_trees(n, 2, max_n=bounds["max_n_free"])
-    claimed = closed_forms.second_smallest(n)
-    return [
-        _record(
-            n,
-            claimed.value,
-            entries[1].value,
-            attaining_codes(claimed),
-            entries[1].trees,
-        )
-    ]
+def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record]:
+    """The closed form's overall rank-th smallest value against the free-tree ranking."""
+    entries = enumeration.rank_trees(n, rank, max_n=bounds["max_n_free"])
+    claimed = closed_form(n)
+    entry = entries[rank - 1]
+    return [_record(n, claimed.value, entry.value, attaining_codes(claimed), entry.trees)]
 
 
-def _records_third_smallest(n: int, bounds: dict) -> list[Record]:
-    entries = enumeration.rank_trees(n, 3, max_n=bounds["max_n_free"])
-    claimed = closed_forms.third_smallest(n)
-    return [
-        _record(
-            n,
-            claimed.value,
-            entries[2].value,
-            attaining_codes(claimed),
-            entries[2].trees,
-        )
-    ]
-
-
-def _min2_double_stars(n: int):
+def _min2_double_stars(n: int) -> list[tuple[int, list[Tree], bool]]:
     """Exhaustive sweep over double stars: the two smallest values with tie sets."""
-    best: list[list] = []
+    buckets = enumeration._Buckets(2, sys.maxsize)
     for a in range(2, n // 2 + 1):
         t = double_star(DoubleStarSpec(n=n, a=a))
-        lam = reverse_wiener(t)
-        for entry in best:
-            if entry[0] == lam:
-                entry[1].append(t)
-                break
-        else:
-            best.append([lam, [t]])
-            best.sort(key=lambda e: e[0])
-            del best[2:]
-    return best
+        buckets.add(reverse_wiener(t), t)
+    return buckets.ties()
 
 
 def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
-    best = _min2_double_stars(n)
+    minima = _min2_double_stars(n)
     records = [
         _record(
             n,
             closed_forms.f_n3(n),
-            best[0][0],
+            minima[0][0],
             [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2)))],
-            [canonical_code(t) for t in best[0][1]],
+            [canonical_code(t) for t in minima[0][1]],
             note="f(n,3)",
         )
     ]
@@ -207,9 +179,9 @@ def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
             _record(
                 n,
                 closed_forms.g_n3(n),
-                best[1][0],
+                minima[1][0],
                 [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2 - 1)))],
-                [canonical_code(t) for t in best[1][1]],
+                [canonical_code(t) for t in minima[1][1]],
                 note="g(n,3)",
             )
         )
@@ -245,16 +217,7 @@ def _records_prop_g4(n: int, bounds: dict) -> list[Record]:
     )
     if not rec.match and rec.claimed_value == rec.oracle_value:
         extra = "suspected erratum in the published attaining table; oracle is authoritative"
-        note = f"{rec.note}; {extra}" if rec.note else extra
-        rec = Record(
-            n=rec.n,
-            claimed_value=rec.claimed_value,
-            oracle_value=rec.oracle_value,
-            claimed_set=rec.claimed_set,
-            oracle_set=rec.oracle_set,
-            match=rec.match,
-            note=note,
-        )
+        rec = replace(rec, note=f"{rec.note}; {extra}" if rec.note else extra)
     return [rec]
 
 
@@ -262,23 +225,7 @@ def _records_prop_g4(n: int, bounds: dict) -> list[Record]:
 
 
 def _random_labeled_tree(rng: random.Random, n: int) -> Tree:
-    if n <= 2:
-        return from_edge_list(n, [(0, 1)] if n == 2 else [])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    return from_edge_list(n, edges)
+    return from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
 def random_diam4_spec(rng: random.Random, max_n: int = 40, min_pendants: int = 0) -> Diam4Spec:
@@ -351,7 +298,8 @@ def random_lemma_input(rng: random.Random, lemma: str, max_n: int = 40):
                         nxt += 1
             t = from_edge_list(n, edges)
             d, _ = diameter_and_centers(t)
-            assert d == 5
+            if d != 5:
+                raise InternalCheckFailed(f"two joined hubs gave diameter {d}, not 5")
             return t
     raise UnknownTheorem(f"unknown lemma {lemma!r}")
 
@@ -361,8 +309,11 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
 
     For every trial, the formula delta must be strictly negative and equal
     the independently recomputed reverse-Wiener difference.  Structural
-    claims (diameter preserved / reduced) are checked as well.
+    claims (diameter preserved / reduced) are checked as well.  A lemma-3
+    input needs two spokes whose leaf counts differ by 2, so max_n >= 7.
     """
+    if trials < 1 or max_n < 7:
+        raise DomainTooSmall(f"the lemma battery needs trials >= 1 and max_n >= 7, got {trials}, {max_n}")
     start = time.monotonic()
     report = VerificationReport(theorem="lemmas")
     rng = random.Random(seed)
@@ -422,8 +373,8 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
 
 _BUILDERS = {
     "smallest": _records_smallest,
-    "second-smallest": _records_second_smallest,
-    "third-smallest": _records_third_smallest,
+    "second-smallest": lambda n, bounds: _records_ranked(n, bounds, 2, closed_forms.second_smallest),
+    "third-smallest": lambda n, bounds: _records_ranked(n, bounds, 3, closed_forms.third_smallest),
     "prop-d3": _records_prop_d3,
     "prop-f4": _records_prop_f4,
     "prop-g4": _records_prop_g4,

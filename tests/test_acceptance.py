@@ -40,7 +40,7 @@ from revwiener.families import (
     star,
 )
 from revwiener.invariants import reverse_wiener, wiener_bfs, wiener_edge_cut
-from revwiener.tree import canonical_code, from_edge_list
+from revwiener.tree import canonical_code, from_pruefer
 from revwiener.verify import attaining_codes, run_lemma_battery
 
 FREE_TREE_COUNTS_TO_12 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -153,7 +153,7 @@ def test_criterion_8_oracle_cross_validation():
     rng = random.Random(57)
     for _ in range(1000):
         n = rng.randint(2, 300)
-        t = _random_labeled_tree(rng, n)
+        t = from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
         assert wiener_edge_cut(t) == wiener_bfs(t)
     # Fast generator vs slow leaf-extension dedup, plus the known counts.
     for n in range(1, 13):
@@ -181,24 +181,3 @@ def test_criterion_9_inequality_regime():
     for n in range(58, 10**4 + 1):
         assert g_n4_value(n) < f_n3(n), n
 
-
-def _random_labeled_tree(rng, n):
-    import heapq
-
-    if n == 2:
-        return from_edge_list(2, [(0, 1)])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    return from_edge_list(n, edges)

@@ -1,10 +1,11 @@
 """The command-line surface: subcommands, formats, files and exit codes."""
 
+import io
 import json
 
 import pytest
 
-from revwiener.cli import EXIT_BOUND, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from revwiener.cli import EXIT_BOUND, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -46,8 +47,6 @@ class TestStats:
         assert row.split("\t") == ["4", "10", "3", "8", "1,2"]
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))
         code, out, _ = run(capsys, "stats", "-")
         assert code == EXIT_OK and "n = 2" in out
@@ -215,12 +214,48 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "span",
+        [["--n", "6"], ["--n", "5"], ["--n", "4"], ["--n", "0"], ["--n-from", "10", "--n-to", "5"]],
+    )
+    def test_lemmas_below_seven_is_usage(self, capsys, span):
+        # A lemma-3 input needs n >= 7; below that the sampler never returns.
+        code, out, err = run(capsys, "verify", "lemmas", *span, "--trials", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_lemmas_without_trials_is_usage(self, capsys, trials):
+        # A campaign that checks nothing must not pass.
+        code, out, err = run(capsys, "verify", "lemmas", "--trials", trials)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_jobs_flag(self, capsys):
         code, out, _ = run(
             capsys, "verify", "second-smallest", "--n-from", "4", "--n-to", "10",
             "--jobs", "2",
         )
         assert code == EXIT_OK
+
+
+class TestInternalError:
+    def test_failed_internal_check_is_exit_four(self, capsys, monkeypatch):
+        # An isqrt that overshoots breaks the q,r decomposition's own check.
+        monkeypatch.setattr("revwiener.closed_forms.math.isqrt", lambda m: int(m**0.5) + 1)
+        code, out, err = run(capsys, "closed-form", "f4", "--n", "10")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("error: internal check failed:") and err.count("\n") == 1
+
+    def test_uncaught_exception_is_exit_four(self, capsys, monkeypatch):
+        def broken(t):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("revwiener.cli.metrics", broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))
+        code, out, err = run(capsys, "stats", "-")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "error: internal error: ZeroDivisionError: division by zero\n"
 
 
 class TestUsage:

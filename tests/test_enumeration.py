@@ -5,8 +5,10 @@ from functools import lru_cache
 import pytest
 
 from revwiener.enumeration import (
+    _diam4_classes,
     _levels_metrics,
     _levels_to_tree,
+    _min2_diam4_specs,
     free_tree_level_sequences,
     free_trees_by_extension,
     gen_diam4_specs,
@@ -17,7 +19,7 @@ from revwiener.enumeration import (
     second_min_lambda_diam,
 )
 from revwiener.errors import BoundExceeded, EmptyClass
-from revwiener.families import diam4, star
+from revwiener.families import Diam4Spec, diam4, lambda_diam4_closed, star
 from revwiener.invariants import metrics, reverse_wiener
 from revwiener.tree import canonical_code, diameter_and_centers
 
@@ -92,6 +94,58 @@ class TestDiam4Specs:
 
     def test_empty_below_5(self):
         assert list(gen_diam4_specs(4)) == []
+
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_same_order_as_part_by_part_walk(self, n):
+        assert list(gen_diam4_specs(n)) == list(_part_by_part_specs(n))
+
+    def test_count_matches_generating_function(self):
+        # q[m] = partitions of m into parts >= 2, the coefficients of
+        # prod_{j >= 2} 1 / (1 - x^j); one of them has a single part.
+        q = [1] + [0] * 40
+        for part in range(2, 41):
+            for m in range(part, 41):
+                q[m] += q[m - part]
+        for n in range(1, 41):
+            expected = sum(q[rest] - 1 for rest in range(4, n))
+            assert sum(1 for _ in gen_diam4_specs(n)) == expected, n
+
+    @pytest.mark.parametrize("n", range(5, 31))
+    def test_carried_lambda_matches_closed_form(self, n):
+        for lam, spec in _diam4_classes(n):
+            assert lam == lambda_diam4_closed(spec)
+            if n <= 14:
+                assert lam == reverse_wiener(diam4(spec))
+
+    @pytest.mark.parametrize("tie_cap", (1, 2, 64))
+    def test_min2_matches_full_sort(self, tie_cap):
+        for n in range(5, 31):
+            by_value: dict[int, list] = {}
+            for spec in gen_diam4_specs(n):
+                by_value.setdefault(lambda_diam4_closed(spec), []).append(spec)
+            smallest = sorted(by_value.items())[:2]
+            expected = [(v, specs[:tie_cap], len(specs) > tie_cap) for v, specs in smallest]
+            assert _min2_diam4_specs(n, tie_cap) == expected, n
+
+
+def _part_by_part_specs(n):
+    """The diameter-4 classes as the partition walk that picks one part per level."""
+
+    def partitions(rest, cap, acc):
+        if rest == 0:
+            if len(acc) >= 2:
+                yield acc
+            return
+        for part in range(min(cap, rest), 1, -1):
+            if rest - part != 1:
+                yield from partitions(rest - part, part, acc + [part])
+
+    for n0 in range(n - 4):
+        for blocks in partitions(n - 1 - n0, n - 1 - n0, []):
+            counts: dict[int, int] = {}
+            for block in blocks:
+                counts[block - 1] = counts.get(block - 1, 0) + 1
+            yield Diam4Spec(n0=n0, parts=tuple(sorted(counts.items())))
 
 
 class TestRankTrees:

@@ -7,7 +7,7 @@ import pytest
 from revwiener.enumeration import gen_free_trees
 from revwiener.families import path, star
 from revwiener.invariants import metrics, reverse_wiener, wiener_bfs, wiener_edge_cut
-from revwiener.tree import from_edge_list
+from revwiener.tree import from_edge_list, from_pruefer
 
 
 class TestWiener:
@@ -36,7 +36,7 @@ class TestWiener:
         for _ in range(50):
             n = rng.randint(2, 60)
             seq = [rng.randrange(n) for _ in range(n - 2)]
-            t = _from_pruefer(n, seq)
+            t = from_pruefer(n, seq)
             assert wiener_edge_cut(t) == wiener_bfs(t)
 
 
@@ -65,21 +65,3 @@ class TestReverseWiener:
         assert m.centers == (2, 3)
         assert m.reverse_wiener == 6 * 5 * 5 // 2 - 35
 
-
-def _from_pruefer(n, seq):
-    import heapq
-
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    return from_edge_list(n, edges)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from revwiener.errors import UnknownTheorem
+from revwiener.errors import DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
     THEOREM_IDS,
@@ -97,3 +97,8 @@ class TestLemmaBattery:
         report = run_verification("lemmas", 5, 25, trials=10, seed=2)
         assert report.theorem == "lemmas"
         assert report.all_match
+
+    @pytest.mark.parametrize("trials, max_n", [(0, 25), (-3, 25), (10, 6), (10, 4)])
+    def test_inputs_that_check_nothing_or_never_end_are_rejected(self, trials, max_n):
+        with pytest.raises(DomainTooSmall):
+            run_lemma_battery(trials=trials, max_n=max_n)
