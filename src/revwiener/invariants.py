@@ -1,8 +1,10 @@
-"""Exact Wiener and reverse-Wiener indices, by two independent methods.
+"""Exact Wiener and reverse-Wiener indices, by independent methods.
 
 All arithmetic uses Python's arbitrary-precision integers, so results are
-exact at any size.  The edge-cut method is the default; the BFS method is
-kept as an independent oracle and for diagnostics.
+exact at any size.  ``reverse_wiener`` takes W and d from the one rooted
+pass of ``tree.wiener_and_diameter``.  ``wiener_edge_cut`` (edge-cut
+profile), ``wiener_bfs`` (all-pairs BFS) and ``metrics`` (edge-cut W with
+the BFS diameter) are its independent cross-checks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailed
-from .tree import Tree, bfs_distances, diameter_and_centers, edge_cut_profile
+from .tree import Tree, bfs_distances, diameter_and_centers, edge_cut_profile, wiener_and_diameter
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,11 @@ def wiener_bfs(t: Tree) -> int:
 
 def reverse_wiener(t: Tree) -> int:
     """Reverse Wiener index: n(n-1)d/2 - W, exact."""
-    d, _ = diameter_and_centers(t)
+    w, d = wiener_and_diameter(t)
     prod = t.n * (t.n - 1) * d
     if prod % 2:
         raise InternalCheckFailed(f"n(n-1)d = {prod} should be even")
-    return prod // 2 - wiener_edge_cut(t)
+    return prod // 2 - w
 
 
 def metrics(t: Tree) -> TreeMetrics:

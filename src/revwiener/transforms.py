@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckFailed, PreconditionFailed
 from .families import Diam4Spec, normalize
-from .tree import Tree, diameter_and_centers, edge_cut_profile, from_edge_list, rooted_subtree_sizes
+from .tree import Tree, diameter_and_centers, from_edge_list, rooted_subtree_sizes
 
 
 def _replace_edges(t: Tree, remove: set[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:
@@ -20,12 +20,6 @@ def _replace_edges(t: Tree, remove: set[tuple[int, int]], add: list[tuple[int, i
     edges = [e for e in t.edges if e not in removed]
     edges.extend(add)
     return from_edge_list(t.n, edges)
-
-
-def _center_subtrees(t: Tree, v: int) -> dict[int, int]:
-    """Size of the subtree hanging off each neighbor of v, in T - v."""
-    _, size = rooted_subtree_sizes(t, v)
-    return {u: size[u] for u in t.adj[v]}
 
 
 def lemma1_pendant_shift(t: Tree) -> tuple[Tree, int]:
@@ -45,11 +39,12 @@ def lemma1_pendant_shift(t: Tree) -> tuple[Tree, int]:
         if not pendants:
             continue
         w = pendants[0]
-        sizes = _center_subtrees(t, v)
+        # Rooted at v, the size of a neighbor is that of its subtree in T - v.
+        _, size = rooted_subtree_sizes(t, v)
         for v1 in sorted(t.adj[v]):
             if v1 == w:
                 continue
-            n1 = sizes[v1]
+            n1 = size[v1]
             if 2 * n1 <= n - 2:
                 out = _replace_edges(t, {(v, w)}, [(w, v1)])
                 delta = n1 * (n - n1) - (n1 + 1) * (n - n1 - 1)
@@ -79,11 +74,10 @@ def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
         raise PreconditionFailed("a center has a pendant neighbor")
     candidates = []
     for v in centers:
-        sizes = _center_subtrees(t, v)
+        parent, size = rooted_subtree_sizes(t, v)
         p = t.degree(v)
         remove: set[tuple[int, int]] = set()
         add: list[tuple[int, int]] = []
-        parent, _ = rooted_subtree_sizes(t, v)
         for vi in t.adj[v]:
             for w in t.adj[vi]:
                 if parent[w] == vi:
@@ -91,7 +85,7 @@ def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
                     add.append((v, w))
         out = _replace_edges(t, remove, add)
         d_out, _ = diameter_and_centers(out)
-        wiener_drop = sum(s * (n - s) for s in sizes.values()) - p * (n - 1)
+        wiener_drop = sum(size[vi] * (n - size[vi]) for vi in t.adj[v]) - p * (n - 1)
         delta = n * (n - 1) * (d_out - d) // 2 + wiener_drop
         if d_out == d - 2:
             return out, delta
@@ -134,9 +128,9 @@ def lemma5_contract(t: Tree) -> tuple[Tree, int]:
     if any(t.degree(x) == 1 for v in centers for x in t.adj[v]):
         raise PreconditionFailed("a center has a pendant neighbor")
     u, v = centers
-    profile = edge_cut_profile(t)
-    cut = dict(zip(profile.edges, profile.sides))[(u, v)]
-    n1, n2 = cut
+    # Rooted at u, v's subtree is v's side of the center edge.
+    _, size = rooted_subtree_sizes(t, u)
+    n1, n2 = n - size[v], size[v]
     # Merge v into u, then reuse label v as the new pendant on u.
     edges = [(u, v)]
     for a, b in t.edges:

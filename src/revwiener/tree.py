@@ -8,7 +8,6 @@ threads.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -64,19 +63,16 @@ def from_edge_list(n: int, edges) -> Tree:
         adj[u].append(v)
         adj[v].append(u)
     # n-1 edges + connected <=> tree; check connectivity by BFS from 0.
-    reached = 1
     visited = bytearray(n)
     visited[0] = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    reached = [0]
+    for u in reached:  # grows while iterating: BFS order
         for w in adj[u]:
             if not visited[w]:
                 visited[w] = 1
-                reached += 1
-                queue.append(w)
-    if reached != n:
-        raise Disconnected(f"edge set reaches {reached} of {n} vertices")
+                reached.append(w)
+    if len(reached) != n:
+        raise Disconnected(f"edge set reaches {len(reached)} of {n} vertices")
     return Tree(n=n, edges=tuple(normalized), adj=tuple(tuple(a) for a in adj))
 
 
@@ -109,22 +105,20 @@ def bfs_distances(t: Tree, source: int) -> list[int]:
         raise LabelOutOfRange(f"source {source} out of range [0, {t.n})")
     dist = [-1] * t.n
     dist[source] = 0
-    queue = deque([source])
+    order = [source]
     adj = t.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    for u in order:  # grows while iterating: BFS order
+        du = dist[u] + 1
         for w in adj[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
+                dist[w] = du
+                order.append(w)
     return dist
 
 
 def _farthest(t: Tree, source: int) -> tuple[int, list[int]]:
     dist = bfs_distances(t, source)
-    far = max(range(t.n), key=dist.__getitem__)
-    return far, dist
+    return dist.index(max(dist)), dist
 
 
 def diameter_and_centers(t: Tree) -> tuple[int, list[int]]:
@@ -154,22 +148,58 @@ def diameter_and_centers(t: Tree) -> tuple[int, list[int]]:
     return d, centers
 
 
-def rooted_subtree_sizes(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
-    """Parent array and subtree sizes for the tree rooted at ``root``."""
+def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """BFS order from ``root`` and the parent array (-1 at the root)."""
     parent = [-1] * t.n
-    order: list[int] = [root]
-    parent[root] = root
+    order = [root]
+    adj = t.adj
     for u in order:  # grows while iterating: BFS order
-        for w in t.adj[u]:
-            if parent[w] < 0:
+        pu = parent[u]
+        for w in adj[u]:
+            if w != pu:  # a tree has no cycle: every other neighbor is a child
                 parent[w] = u
                 order.append(w)
+    return order, parent
+
+
+def rooted_subtree_sizes(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
+    """Parent array and subtree sizes for the tree rooted at ``root``."""
+    order, parent = _bfs_order(t, root)
     size = [1] * t.n
-    for u in reversed(order):
-        if u != root:
-            size[parent[u]] += size[u]
-    parent[root] = -1
+    for u in order[:0:-1]:
+        size[parent[u]] += size[u]
     return parent, size
+
+
+def wiener_and_diameter(t: Tree) -> tuple[int, int]:
+    """(W, d) in one reverse pass over the BFS order from vertex 0.
+
+    Each vertex folds its subtree size s into its parent and adds the
+    edge-cut term s(n - s) to W; it also offers its height + 1 to the
+    parent's two largest child heights ``top1``, ``top2``.  d is the largest
+    top1 + top2 over all vertices.
+    """
+    n = t.n
+    order, parent = _bfs_order(t, 0)
+    size = [1] * n
+    top1 = [0] * n
+    top2 = [0] * n
+    w = d = 0
+    for u in order[:0:-1]:
+        a = top1[u]
+        if a + top2[u] > d:
+            d = a + top2[u]
+        s = size[u]
+        w += s * (n - s)
+        p = parent[u]
+        size[p] += s
+        a += 1
+        if a > top1[p]:
+            top2[p] = top1[p]
+            top1[p] = a
+        elif a > top2[p]:
+            top2[p] = a
+    return w, max(d, top1[0] + top2[0])
 
 
 @dataclass(frozen=True)
@@ -205,15 +235,15 @@ def edge_cut_profile(t: Tree) -> EdgeCutProfile:
 
 def _rooted_code(t: Tree, root: int) -> str:
     """AHU-style sorted parenthesis encoding of the tree rooted at root."""
-    parent, _ = rooted_subtree_sizes(t, root)
-    order = [root]
-    for u in order:
-        order.extend(w for w in t.adj[u] if parent[w] == u)
-    code = [""] * t.n
+    order, parent = _bfs_order(t, root)
+    kids: list[list[str]] = [[] for _ in range(t.n)]
     for u in reversed(order):
-        children = sorted(code[w] for w in t.adj[u] if parent[w] == u)
-        code[u] = "(" + "".join(children) + ")"
-    return code[root]
+        own = kids[u]
+        own.sort()
+        code = "(" + "".join(own) + ")"
+        if u == root:
+            return code
+        kids[parent[u]].append(code)
 
 
 def canonical_code(t: Tree) -> str:

@@ -242,8 +242,7 @@ def random_diam4_spec(rng: random.Random, max_n: int = 40, min_pendants: int = 0
             return spec
 
 
-def _has_center_pendant(t: Tree) -> bool:
-    _, centers = diameter_and_centers(t)
+def _has_center_pendant(t: Tree, centers: list[int]) -> bool:
     return any(t.degree(u) == 1 for v in centers for u in t.adj[v])
 
 
@@ -254,15 +253,15 @@ def random_lemma_input(rng: random.Random, lemma: str, max_n: int = 40):
         # a diameter-4 tree with hub pendants, which always qualifies.
         for _ in range(20):
             t = _random_labeled_tree(rng, rng.randint(5, max_n))
-            d, _ = diameter_and_centers(t)
-            if d >= 4 and _has_center_pendant(t):
+            d, centers = diameter_and_centers(t)
+            if d >= 4 and _has_center_pendant(t, centers):
                 return t
         return diam4(random_diam4_spec(rng, max_n=max_n, min_pendants=1))
     if lemma == "lemma2":
         while True:
             t = _random_labeled_tree(rng, rng.randint(5, max_n))
-            d, _ = diameter_and_centers(t)
-            if d >= 4 and not _has_center_pendant(t):
+            d, centers = diameter_and_centers(t)
+            if d >= 4 and not _has_center_pendant(t, centers):
                 return t
     if lemma == "lemma3":
         while True:
@@ -348,9 +347,9 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
             else:
                 t = random_lemma_input(rng, lemma, max_n)
                 out, delta = transforms.lemma5_contract(t)
-                d_out, _ = diameter_and_centers(out)
+                d_out, centers_out = diameter_and_centers(out)
                 ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
-                ok = ok and d_out == 4 and _has_center_pendant(out)
+                ok = ok and d_out == 4 and _has_center_pendant(out, centers_out)
             if not ok:
                 failures += 1
         report.records.append(

@@ -1,8 +1,11 @@
 """Shared fixtures: expensive exhaustive sweeps computed once per session."""
 
+import random
+
 import pytest
 
-from revwiener.enumeration import _min2_diam4_specs, rank_trees
+from revwiener.enumeration import _min2_diam4_specs, gen_free_trees, rank_trees
+from revwiener.tree import from_pruefer
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +18,13 @@ def rankings():
 def diam4_minima():
     """Two smallest values over diameter-4 classes with spec ties, n = 5..70."""
     return {n: _min2_diam4_specs(n) for n in range(5, 71)}
+
+
+@pytest.fixture(scope="session")
+def sample_trees():
+    """Every free tree with n <= 12, then 200 random labeled trees with n <= 80 (n = 1 and 2 included)."""
+    trees = [t for n in range(1, 13) for t in gen_free_trees(n)]
+    rng = random.Random(2024)
+    for n in [1, 2] + [rng.randint(1, 80) for _ in range(198)]:
+        trees.append(from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]))
+    return trees

@@ -7,7 +7,7 @@ import pytest
 from revwiener.enumeration import gen_free_trees
 from revwiener.families import path, star
 from revwiener.invariants import metrics, reverse_wiener, wiener_bfs, wiener_edge_cut
-from revwiener.tree import from_edge_list, from_pruefer
+from revwiener.tree import diameter_and_centers, from_edge_list, from_pruefer, wiener_and_diameter
 
 
 class TestWiener:
@@ -65,3 +65,15 @@ class TestReverseWiener:
         assert m.centers == (2, 3)
         assert m.reverse_wiener == 6 * 5 * 5 // 2 - 35
 
+
+
+class TestOnePass:
+    """``wiener_and_diameter`` and the ``reverse_wiener`` built on it, against the independent routes."""
+
+    def test_matches_bfs_routes(self, sample_trees):
+        for t in sample_trees:
+            assert wiener_and_diameter(t) == (wiener_bfs(t), diameter_and_centers(t)[0]), t.edges
+
+    def test_reverse_wiener_matches_metrics(self, sample_trees):
+        for t in sample_trees:
+            assert reverse_wiener(t) == metrics(t).reverse_wiener, t.edges

@@ -1,11 +1,16 @@
-"""Property tests: spec strings and canonical codes under generated inputs."""
+"""Property tests: spec strings, edge lists, codes, invariants and the CLI under generated inputs."""
+
+import contextlib
+import io
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from revwiener import cli
 from revwiener.errors import InvalidSpec
 from revwiener.families import normalize, parse_family_spec
-from revwiener.tree import canonical_code, from_edge_list, from_pruefer
+from revwiener.invariants import metrics, reverse_wiener, wiener_bfs, wiener_edge_cut
+from revwiener.tree import canonical_code, format_edge_list, from_edge_list, from_pruefer, parse_edge_list
 
 raw_parts = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 4)), min_size=1, max_size=6)
 
@@ -32,3 +37,59 @@ def test_canonical_code_ignores_labels(case):
     t, perm = case
     relabeled = from_edge_list(t.n, [(perm[u], perm[v]) for u, v in t.edges])
     assert canonical_code(relabeled) == canonical_code(t)
+
+
+@settings(max_examples=200)
+@given(labeled_tree_and_permutation())
+def test_edge_list_round_trip(case):
+    t, perm = case
+    relabeled = from_edge_list(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+    assert parse_edge_list(format_edge_list(t)) == t
+    assert parse_edge_list(format_edge_list(relabeled)) == relabeled
+
+
+@settings(max_examples=200)
+@given(labeled_tree_and_permutation())
+def test_wiener_routes_and_one_pass_agree(case):
+    t, _ = case
+    assert wiener_edge_cut(t) == wiener_bfs(t)
+    assert reverse_wiener(t) == metrics(t).reverse_wiener
+
+
+# Generated argv stays small (n <= 12, at most 5 trials) so that no call runs
+# long; --jobs, --out and stdin are left out so that a call spawns and writes nothing.
+small = st.integers(-1, 12).map(str)
+fmt = st.one_of(st.just([]), st.sampled_from(["human", "structured", "tabular"]).map(lambda f: ["--format", f]))
+
+
+def _argv(*parts):
+    """argv from fixed tokens and strategies, then an optional --format."""
+    parts = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    return st.tuples(*parts, fmt).map(lambda drawn: [*drawn[:-1], *drawn[-1]])
+
+
+n_range = st.one_of(
+    st.tuples(st.just("--n"), small),
+    st.tuples(st.just("--n-from"), small, st.just("--n-to"), small),
+).map(list)
+theorems = st.sampled_from(["smallest", "second-smallest", "third-smallest", "prop-d3", "prop-f4", "prop-g4", "lemmas"])
+
+argv_strategy = st.one_of(
+    _argv("rank", "--n", small, "--k", st.integers(-1, 5).map(str)),
+    _argv("enumerate", "--n", small, st.sampled_from(["--diameter", "--max-n-free"]), small),
+    _argv("closed-form", st.sampled_from(["f2", "f3", "g3", "f4", "g4", "second", "third", "f9"]), "--n", small),
+    _argv("construct", st.sampled_from(["D(6,3)", "D(9,1)", "D(12,6)", "T(2^3)", "T(n0=1; 1^2, 3)", "T(", "X(2)", ""])),
+    _argv("stats", "no-such-file.txt"),
+    _argv("verify", theorems, n_range, "--trials", st.integers(-1, 5).map(str), "--seed", st.integers(0, 3).map(str))
+    .map(lambda argv: [*argv[:2], *argv[2], *argv[3:]]),
+    st.lists(st.sampled_from(["verify", "rank", "lemmas", "--n", "--k", "3", "-1", "x", "--help"]), max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv_strategy)
+def test_cli_returns_a_documented_exit_code(argv):
+    # Exit 4 marks an internal error, which is a bug, so only 0..3 may occur.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)

@@ -81,6 +81,29 @@ class TestCollapse:
         assert diameter_and_centers(out)[0] == 6
         assert delta == reverse_wiener(out) - reverse_wiener(t) < 0
 
+    # Drawn by random_lemma_input(random.Random(1898), "lemma2"): diameter 7,
+    # and collapsing around either center only reaches diameter 6.
+    COUNTEREXAMPLE = [
+        (0, 20), (1, 20), (4, 13), (5, 10), (8, 23), (10, 21), (2, 11), (2, 3),
+        (9, 12), (3, 13), (6, 15), (14, 16), (7, 14), (7, 22), (9, 19), (6, 9),
+        (6, 22), (18, 20), (17, 18), (17, 21), (17, 22), (3, 17), (3, 23),
+    ]
+
+    def test_counterexample_delta_is_the_true_change(self):
+        t = from_edge_list(24, self.COUNTEREXAMPLE)
+        assert diameter_and_centers(t)[0] == 7
+        out, delta = lemma2_collapse(t)
+        assert diameter_and_centers(out)[0] == 6
+        assert delta == reverse_wiener(out) - reverse_wiener(t) == 29
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lemma2_collapse raises Λ on some odd-diameter trees that only reach d - 1 (here d 7 -> 6, +29)",
+    )
+    def test_counterexample_decreases(self):
+        _, delta = lemma2_collapse(from_edge_list(24, self.COUNTEREXAMPLE))
+        assert delta < 0
+
     def test_requires_no_center_pendant(self):
         with pytest.raises(PreconditionFailed):
             lemma2_collapse(diam4(Diam4Spec(n0=1, parts=((2, 2),))))

@@ -132,6 +132,28 @@ class TestCanonicalCode:
         assert canonical_code(star(4)) == "(()()())"
 
 
+def _reference_code(t):
+    """canonical_code as first written: each rooting rebuilds its order and children from the parent array."""
+
+    def rooted(root):
+        parent, _ = rooted_subtree_sizes(t, root)
+        order = [root]
+        for u in order:
+            order.extend(w for w in t.adj[u] if parent[w] == u)
+        code = [""] * t.n
+        for u in reversed(order):
+            code[u] = "(" + "".join(sorted(code[w] for w in t.adj[u] if parent[w] == u)) + ")"
+        return code[root]
+
+    return min(rooted(c) for c in diameter_and_centers(t)[1])
+
+
+class TestCanonicalCodeReference:
+    def test_matches_reference_code(self, sample_trees):
+        for t in sample_trees:
+            assert canonical_code(t) == _reference_code(t), t.edges
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         t = star(6)
