@@ -231,8 +231,10 @@ def cmd_verify(args) -> int:
         _require_positive(trials=args.trials)
         if n_to < 7:
             raise SpecParseError(f"lemmas needs --n or --n-to of at least 7, got {n_to}")
-    elif n_from > n_to:
-        raise SpecParseError(f"empty n range {n_from}..{n_to}: nothing to verify")
+    else:
+        _require_positive(**{"n" if args.n is not None else "n-from": n_from})
+        if n_from > n_to:
+            raise SpecParseError(f"empty n range {n_from}..{n_to}: nothing to verify")
     report = verify.run_verification(
         args.theorem,
         n_from,

@@ -2,9 +2,10 @@
 
 All arithmetic uses Python's arbitrary-precision integers, so results are
 exact at any size.  ``reverse_wiener`` takes W and d from the one rooted
-pass of ``tree.wiener_and_diameter``.  ``wiener_edge_cut`` (edge-cut
-profile), ``wiener_bfs`` (all-pairs BFS) and ``metrics`` (edge-cut W with
-the BFS diameter) are its independent cross-checks.
+pass of ``tree.wiener_and_diameter``.  ``wiener_edge_cut`` (W = sum of
+s(n - s) over the subtree sizes s of a rooting), ``wiener_bfs`` (all-pairs
+BFS) and ``metrics`` (edge-cut W with the double-sweep diameter) are its
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailed
-from .tree import Tree, bfs_distances, diameter_and_centers, edge_cut_profile, wiener_and_diameter
+from .tree import Tree, bfs_distances, diameter_and_centers, rooted_subtree_sizes, wiener_and_diameter
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class TreeMetrics:
 
 
 def wiener_edge_cut(t: Tree) -> int:
-    """W(T) as the sum over edges of the product of the two cut sizes."""
-    return sum(a * b for a, b in edge_cut_profile(t).sides)
+    """W(T) as the edge-cut sum of s(n - s) over the subtree sizes s (the root's term is 0)."""
+    return sum(s * (t.n - s) for s in rooted_subtree_sizes(t)[1])
 
 
 def wiener_bfs(t: Tree) -> int:

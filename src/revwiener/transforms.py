@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckFailed, PreconditionFailed
 from .families import Diam4Spec, normalize
-from .tree import Tree, diameter_and_centers, from_edge_list, rooted_subtree_sizes
+from .tree import Tree, diameter_and_centers, from_edge_list, has_center_pendant, rooted_subtree_sizes
 
 
 def _replace_edges(t: Tree, remove: set[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:
@@ -70,7 +70,7 @@ def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
     d, centers = diameter_and_centers(t)
     if d < 4:
         raise PreconditionFailed(f"diameter {d} < 4")
-    if any(t.degree(u) == 1 for v in centers for u in t.adj[v]):
+    if has_center_pendant(t, centers):
         raise PreconditionFailed("a center has a pendant neighbor")
     candidates = []
     for v in centers:
@@ -125,7 +125,7 @@ def lemma5_contract(t: Tree) -> tuple[Tree, int]:
     d, centers = diameter_and_centers(t)
     if d != 5:
         raise PreconditionFailed(f"diameter {d} != 5")
-    if any(t.degree(x) == 1 for v in centers for x in t.adj[v]):
+    if has_center_pendant(t, centers):
         raise PreconditionFailed("a center has a pendant neighbor")
     u, v = centers
     # Rooted at u, v's subtree is v's side of the center edge.

@@ -1,4 +1,4 @@
-"""Labeled tree representation, distances, centers, edge cuts and canonical codes.
+"""Labeled tree representation, distances, centers, subtree sizes and canonical codes.
 
 Vertices are dense integers in [0, n).  Trees are immutable after
 construction, so every function here is pure and safe to share across
@@ -116,38 +116,6 @@ def bfs_distances(t: Tree, source: int) -> list[int]:
     return dist
 
 
-def _farthest(t: Tree, source: int) -> tuple[int, list[int]]:
-    dist = bfs_distances(t, source)
-    return dist.index(max(dist)), dist
-
-
-def diameter_and_centers(t: Tree) -> tuple[int, list[int]]:
-    """Diameter and the 1 or 2 centers (middle of a longest path).
-
-    A tree has one center iff its diameter is even; two (adjacent)
-    centers otherwise.
-    """
-    if t.n == 1:
-        return 0, [0]
-    u, _ = _farthest(t, 0)
-    v, dist_u = _farthest(t, u)
-    d = dist_u[v]
-    # Walk the u-v path back from v.
-    path = [v]
-    cur = v
-    while cur != u:
-        for w in t.adj[cur]:
-            if dist_u[w] == dist_u[cur] - 1:
-                cur = w
-                break
-        path.append(cur)
-    if d % 2 == 0:
-        centers = [path[d // 2]]
-    else:
-        centers = sorted((path[d // 2], path[d // 2 + 1]))
-    return d, centers
-
-
 def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     """BFS order from ``root`` and the parent array (-1 at the root)."""
     parent = [-1] * t.n
@@ -160,6 +128,29 @@ def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
                 parent[w] = u
                 order.append(w)
     return order, parent
+
+
+def diameter_and_centers(t: Tree) -> tuple[int, list[int]]:
+    """Diameter and the 1 or 2 centers (middle of a longest path).
+
+    Double sweep: the last vertex of a BFS order is a farthest vertex u,
+    and the last vertex of a BFS from u ends a longest path.  Every longest
+    path has the same middle, so the centers do not depend on which one is
+    found.  A tree has one center iff its diameter is even; two (adjacent)
+    centers otherwise.
+    """
+    u = _bfs_order(t, 0)[0][-1]
+    order, parent = _bfs_order(t, u)
+    path = [order[-1]]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    d = len(path) - 1
+    return d, sorted(path[d // 2 : (d + 3) // 2])
+
+
+def has_center_pendant(t: Tree, centers: list[int]) -> bool:
+    """Whether one of ``centers`` has a pendant (degree-1) neighbor."""
+    return any(t.degree(u) == 1 for v in centers for u in t.adj[v])
 
 
 def rooted_subtree_sizes(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
@@ -200,37 +191,6 @@ def wiener_and_diameter(t: Tree) -> tuple[int, int]:
         elif a > top2[p]:
             top2[p] = a
     return w, max(d, top1[0] + top2[0])
-
-
-@dataclass(frozen=True)
-class EdgeCutProfile:
-    """Per edge, the sizes of the two components left by deleting it.
-
-    ``sides[i]`` pairs with ``edges[i]`` and gives (vertices on the
-    first-endpoint side, vertices on the second-endpoint side).
-    """
-
-    n: int
-    edges: tuple[Edge, ...]
-    sides: tuple[tuple[int, int], ...]
-
-    def multiset(self) -> list[tuple[int, int]]:
-        """Sorted side pairs, each with the smaller count first."""
-        return sorted(tuple(sorted(p)) for p in self.sides)
-
-
-def edge_cut_profile(t: Tree) -> EdgeCutProfile:
-    """Component sizes on both sides of every edge, via one rooted pass."""
-    parent, size = rooted_subtree_sizes(t)
-    sides = []
-    for u, v in t.edges:
-        # The child endpoint's subtree is one side of the cut.
-        s = size[v] if parent[v] == u else size[u]
-        if parent[v] == u:
-            sides.append((t.n - s, s))
-        else:
-            sides.append((s, t.n - s))
-    return EdgeCutProfile(n=t.n, edges=t.edges, sides=tuple(sides))
 
 
 def _rooted_code(t: Tree, root: int) -> str:

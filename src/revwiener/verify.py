@@ -21,7 +21,7 @@ from . import closed_forms, enumeration, transforms
 from .errors import DomainTooSmall, InternalCheckFailed, UnknownTheorem
 from .families import Diam4Spec, DoubleStarSpec, build, diam4, double_star, star
 from .invariants import reverse_wiener
-from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer
+from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer, has_center_pendant
 
 SCHEMA_VERSION = "revwiener-report/1"
 
@@ -131,18 +131,10 @@ def _record(n, claimed_value, oracle_value, claimed_codes, oracle_codes, note=""
 # --- per-theorem, per-n record builders -----------------------------------------
 
 
-def _records_smallest(n: int, bounds: dict) -> list[Record]:
-    entries = enumeration.rank_trees(n, 1, max_n=bounds["max_n_free"])
+def _star_claim(n: int) -> closed_forms.ExtremalResult:
+    """The smallest value: the star's, computed on the built tree."""
     s = star(n)
-    return [
-        _record(
-            n,
-            reverse_wiener(s),
-            entries[0].value,
-            [canonical_code(s)],
-            entries[0].trees,
-        )
-    ]
+    return closed_forms.ExtremalResult(rank="overall-1st", value=reverse_wiener(s), attaining=(canonical_code(s),))
 
 
 def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record]:
@@ -188,36 +180,24 @@ def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
     return records
 
 
-def _records_prop_f4(n: int, bounds: dict) -> list[Record]:
-    claimed = closed_forms.f_n4(n)
-    oracle = enumeration.min_lambda_diam(n, 4, max_n_diam4=bounds["max_n_diam4"])
-    note = "; ".join(claimed.notes)
-    return [
-        _record(
-            n,
-            claimed.value,
-            oracle.value,
-            attaining_codes(claimed),
-            attaining_codes(oracle),
-            note=note,
-        )
-    ]
+def _records_diam4(n: int, bounds: dict, closed_form, oracle, mismatch_note: str = "") -> list[Record]:
+    """A diameter-4 closed form against the partition-walk oracle.
 
-
-def _records_prop_g4(n: int, bounds: dict) -> list[Record]:
-    claimed = closed_forms.g_n4(n)
-    oracle = enumeration.second_min_lambda_diam(n, 4, max_n_diam4=bounds["max_n_diam4"])
+    ``mismatch_note`` is appended when the values agree but the attaining
+    sets differ.
+    """
+    claimed = closed_form(n)
+    found = oracle(n, 4, max_n_diam4=bounds["max_n_diam4"])
     rec = _record(
         n,
         claimed.value,
-        oracle.value,
+        found.value,
         attaining_codes(claimed),
-        attaining_codes(oracle),
+        attaining_codes(found),
         note="; ".join(claimed.notes),
     )
-    if not rec.match and rec.claimed_value == rec.oracle_value:
-        extra = "suspected erratum in the published attaining table; oracle is authoritative"
-        rec = replace(rec, note=f"{rec.note}; {extra}" if rec.note else extra)
+    if mismatch_note and not rec.match and rec.claimed_value == rec.oracle_value:
+        rec = replace(rec, note=f"{rec.note}; {mismatch_note}" if rec.note else mismatch_note)
     return [rec]
 
 
@@ -242,27 +222,28 @@ def random_diam4_spec(rng: random.Random, max_n: int = 40, min_pendants: int = 0
             return spec
 
 
-def _has_center_pendant(t: Tree, centers: list[int]) -> bool:
-    return any(t.degree(u) == 1 for v in centers for u in t.adj[v])
-
-
 def random_lemma_input(rng: random.Random, lemma: str, max_n: int = 40):
-    """A random tree or spec satisfying the given transform's precondition."""
+    """A random input satisfying the given transform's precondition.
+
+    lemma1 and lemma2 give (tree, diameter), lemma3 (spec, (i, j)) and
+    lemma5 a tree.
+    """
     if lemma == "lemma1":
         # Rejection-sample general trees for diameter variety; fall back to
         # a diameter-4 tree with hub pendants, which always qualifies.
         for _ in range(20):
             t = _random_labeled_tree(rng, rng.randint(5, max_n))
             d, centers = diameter_and_centers(t)
-            if d >= 4 and _has_center_pendant(t, centers):
-                return t
-        return diam4(random_diam4_spec(rng, max_n=max_n, min_pendants=1))
+            if d >= 4 and has_center_pendant(t, centers):
+                return t, d
+        t = diam4(random_diam4_spec(rng, max_n=max_n, min_pendants=1))
+        return t, diameter_and_centers(t)[0]
     if lemma == "lemma2":
         while True:
             t = _random_labeled_tree(rng, rng.randint(5, max_n))
             d, centers = diameter_and_centers(t)
-            if d >= 4 and not _has_center_pendant(t, centers):
-                return t
+            if d >= 4 and not has_center_pendant(t, centers):
+                return t, d
     if lemma == "lemma3":
         while True:
             spec = random_diam4_spec(rng, max_n=max_n)
@@ -320,15 +301,13 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
         failures = 0
         for _ in range(trials):
             if lemma == "lemma1":
-                t = random_lemma_input(rng, lemma, max_n)
-                d_in, _ = diameter_and_centers(t)
+                t, d_in = random_lemma_input(rng, lemma, max_n)
                 out, delta = transforms.lemma1_pendant_shift(t)
                 d_out, _ = diameter_and_centers(out)
                 ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
                 ok = ok and d_out == d_in
             elif lemma == "lemma2":
-                t = random_lemma_input(rng, lemma, max_n)
-                d_in, _ = diameter_and_centers(t)
+                t, d_in = random_lemma_input(rng, lemma, max_n)
                 out, delta = transforms.lemma2_collapse(t)
                 d_out, _ = diameter_and_centers(out)
                 ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
@@ -349,7 +328,7 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
                 out, delta = transforms.lemma5_contract(t)
                 d_out, centers_out = diameter_and_centers(out)
                 ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
-                ok = ok and d_out == 4 and _has_center_pendant(out, centers_out)
+                ok = ok and d_out == 4 and has_center_pendant(out, centers_out)
             if not ok:
                 failures += 1
         report.records.append(
@@ -371,12 +350,18 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
 
 
 _BUILDERS = {
-    "smallest": _records_smallest,
+    "smallest": lambda n, bounds: _records_ranked(n, bounds, 1, _star_claim),
     "second-smallest": lambda n, bounds: _records_ranked(n, bounds, 2, closed_forms.second_smallest),
     "third-smallest": lambda n, bounds: _records_ranked(n, bounds, 3, closed_forms.third_smallest),
     "prop-d3": _records_prop_d3,
-    "prop-f4": _records_prop_f4,
-    "prop-g4": _records_prop_g4,
+    "prop-f4": lambda n, bounds: _records_diam4(n, bounds, closed_forms.f_n4, enumeration.min_lambda_diam),
+    "prop-g4": lambda n, bounds: _records_diam4(
+        n,
+        bounds,
+        closed_forms.g_n4,
+        enumeration.second_min_lambda_diam,
+        "suspected erratum in the published attaining table; oracle is authoritative",
+    ),
 }
 
 

@@ -215,6 +215,23 @@ class TestVerify:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "theorem, span",
+        [
+            ("smallest", ["--n", "0"]),
+            ("smallest", ["--n", "-1"]),
+            ("second-smallest", ["--n", "0"]),
+            ("third-smallest", ["--n", "-1"]),
+            ("smallest", ["--n-from", "0", "--n-to", "5"]),
+            ("third-smallest", ["--n-from", "-2", "--n-to", "5"]),
+        ],
+    )
+    def test_nonpositive_n_is_usage(self, capsys, theorem, span):
+        # A usage error, as for rank --n 0; not the bound error of the free-tree oracle.
+        code, out, err = run(capsys, "verify", theorem, *span)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --n") and "at least 1" in err
+
+    @pytest.mark.parametrize(
         "span",
         [["--n", "6"], ["--n", "5"], ["--n", "4"], ["--n", "0"], ["--n-from", "10", "--n-to", "5"]],
     )

@@ -74,6 +74,10 @@ class TestOnePass:
         for t in sample_trees:
             assert wiener_and_diameter(t) == (wiener_bfs(t), diameter_and_centers(t)[0]), t.edges
 
+    def test_edge_cut_matches_bfs(self, sample_trees):
+        for t in sample_trees:
+            assert wiener_edge_cut(t) == wiener_bfs(t), t.edges
+
     def test_reverse_wiener_matches_metrics(self, sample_trees):
         for t in sample_trees:
             assert reverse_wiener(t) == metrics(t).reverse_wiener, t.edges

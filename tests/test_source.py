@@ -8,6 +8,26 @@ import revwiener
 SRC = Path(revwiener.__file__).resolve().parent
 
 
+def _init_public_imports(init_path):
+    """Public names that ``from .module import ...`` statements bring into the package."""
+    tree = ast.parse(init_path.read_text(encoding="utf-8"), filename=str(init_path))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_all_names_exactly_the_public_imports():
+    exported = set(revwiener.__all__)
+    imported = _init_public_imports(SRC / "__init__.py")
+    assert len(revwiener.__all__) == len(exported), "duplicate names in revwiener.__all__"
+    assert not exported - imported, f"stale in __all__: {sorted(exported - imported)}"
+    assert not imported - exported, f"imported but missing from __all__: {sorted(imported - exported)}"
+
+
 def test_no_assert_in_src():
     # `python -O` strips asserts, so a check that guards a result must raise.
     found = [

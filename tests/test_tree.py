@@ -1,4 +1,4 @@
-"""Tree construction, validation, distances, centers, cuts, canonical codes."""
+"""Tree construction, validation, distances, centers, subtree sizes, canonical codes."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from revwiener.tree import (
     bfs_distances,
     canonical_code,
     diameter_and_centers,
-    edge_cut_profile,
     format_edge_list,
     from_edge_list,
     parse_edge_list,
@@ -86,6 +85,14 @@ class TestDistancesAndCenters:
     def test_diameter_and_centers(self, t, expected):
         assert diameter_and_centers(t) == expected
 
+    def test_matches_eccentricity_reference(self, sample_trees):
+        # d is the largest eccentricity; the centers are the vertices of smallest eccentricity.
+        for t in sample_trees:
+            ecc = [max(bfs_distances(t, v)) for v in range(t.n)]
+            radius = min(ecc)
+            centers = [v for v in range(t.n) if ecc[v] == radius]
+            assert diameter_and_centers(t) == (max(ecc), centers), t.edges
+
     def test_subtree_sizes(self):
         t = star(5)
         parent, size = rooted_subtree_sizes(t, 0)
@@ -94,22 +101,6 @@ class TestDistancesAndCenters:
         parent, size = rooted_subtree_sizes(t, 2)
         assert parent[2] == -1 and parent[0] == 2
         assert size[2] == 5 and size[0] == 4
-
-
-class TestEdgeCuts:
-    def test_path_cut_multiset(self):
-        profile = edge_cut_profile(path(4))
-        assert profile.multiset() == [(1, 3), (1, 3), (2, 2)]
-
-    def test_sides_pair_with_edges(self):
-        t = star(4)
-        profile = edge_cut_profile(t)
-        assert profile.n == 4 and profile.edges == t.edges
-        for (u, v), (a, b) in zip(profile.edges, profile.sides):
-            assert a + b == 4
-            # In a star every cut isolates the leaf endpoint.
-            leaf_side = a if t.degree(u) == 1 else b
-            assert leaf_side == 1
 
 
 class TestCanonicalCode:
