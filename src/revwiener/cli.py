@@ -231,6 +231,9 @@ def cmd_verify(args) -> int:
         _require_positive(trials=args.trials)
         if n_to < 7:
             raise SpecParseError(f"lemmas needs --n or --n-to of at least 7, got {n_to}")
+        # The battery draws n from 5 up to n_to, and its diameter-4 inputs stop at 40.
+        if n_from > 5 or n_to > 40:
+            raise SpecParseError(f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}")
     else:
         _require_positive(**{"n" if args.n is not None else "n-from": n_from})
         if n_from > n_to:

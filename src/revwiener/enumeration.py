@@ -1,11 +1,15 @@
 """Brute-force oracles: free-tree generation, diameter-4 enumeration, ranking.
 
-The fast free-tree generator iterates level sequences with the
-constant-amortized-time successor scheme for free trees (rooted at the
-centroid, left subtree constrained).  A slow, independent fallback builds
-each size class by attaching a leaf to every vertex of every smaller class
-representative and deduplicating by canonical code; the two routes are
-cross-validated in the test suite.
+The fast free-tree generator is the constant-amortized-time successor of
+Wright, Richmond, Odlyzko and McKay (each tree rooted at a center, its
+first subtree no higher than the rest).  It rewrites one level sequence
+in place and reports the pivot, the first index it changed; over all
+trees only O(1) indices per tree are rewritten.  The W, d and reverse
+Wiener pass keeps its state at every index and resumes at the pivot, so
+a tree costs amortized O(1) plus O(height) to close the pass.  A slow,
+independent fallback builds each size class by attaching a leaf to every
+vertex of every smaller class representative and deduplicating by
+canonical code; the two routes are cross-validated in the test suite.
 
 The diameter-4 oracle walks the classes as integer partitions, one run
 of equal parts per recursion level, and carries k and the sum of b*v^2
@@ -27,7 +31,7 @@ from .errors import BoundExceeded, EmptyClass
 from .families import Diam4Spec
 from .tree import Tree, canonical_code, from_edge_list, from_pruefer
 
-DEFAULT_MAX_N_FREE = 20
+DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
 DEFAULT_TIE_CAP = 64
 
@@ -35,69 +39,114 @@ DEFAULT_TIE_CAP = 64
 # --- level-sequence machinery -------------------------------------------------
 
 
-def _successor_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
-    """Next rooted-tree level sequence in reverse lexicographic order."""
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    out = list(levels)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+def free_tree_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
+    """Level sequences of all non-isomorphic free trees on n vertices, with pivots.
 
+    This is the successor of Wright, Richmond, Odlyzko and McKay (1986).
+    Each tree is rooted at its center, and its level sequence is the
+    preorder of vertex depths with the subtrees in decreasing order.  The
+    sequences run in reverse lexicographic order.  One list is rewritten in
+    place and yielded with its pivot: the first index that changed since
+    the previous yield (0 for the first).  Only the positions from the
+    pivot on are rewritten, O(1) of them amortised over all trees, so
+    callers that resume their own work at the pivot spend constant
+    amortised time per tree.  A caller that keeps a sequence must copy it.
 
-def _split_root(levels: list[int]) -> tuple[list[int], list[int]]:
-    """Left subtree of the root, and the tree with that subtree removed."""
-    m = len(levels)
-    seen_one = False
-    for i, lvl in enumerate(levels):
-        if lvl == 1:
-            if seen_one:
-                m = i
-                break
-            seen_one = True
-    left = [levels[i] - 1 for i in range(1, m)]
-    rest = [0] + levels[m:]
-    return left, rest
-
-
-def _skip_to_free(levels: list[int]) -> list[int] | None:
-    """Return ``levels`` if it encodes a free tree, else the next one that does."""
-    left, rest = _split_root(levels)
-    lh, rh = max(left), max(rest)
-    valid = rh >= lh
-    if valid and rh == lh:
-        if len(left) > len(rest) or (len(left) == len(rest) and left > rest):
-            valid = False
-    if valid:
-        return levels
-    p = len(left)
-    nxt = _successor_rooted(levels, p)
-    if levels[p] > 2 and nxt is not None:
-        new_left, _ = _split_root(nxt)
-        suffix = list(range(1, max(new_left) + 2))
-        nxt[-len(suffix):] = suffix
-    return nxt
-
-
-def free_tree_level_sequences(n: int) -> Iterator[list[int]]:
-    """Level sequences of all non-isomorphic free trees on n vertices."""
-    if n == 1:
-        yield [0]
-        return
-    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while levels is not None:
-        levels = _skip_to_free(levels)
-        if levels is None:
-            return
-        yield levels
-        levels = _successor_rooted(levels)
+    All positions are list indices.  The state between steps: p is the
+    last vertex deeper than depth 1 and q its parent, so the rooted
+    successor copies the pattern from q on into the positions from p on.
+    r ends the root's first subtree.  h1 and h2 are the first deepest
+    vertices of that subtree and of the rest of the tree.  When the two
+    have equal height and equal tails past h1 and h2, c is the first index
+    from h2 on where the rest stops copying the first subtree one level up
+    (n if it never does); otherwise c is unbounded.  A step whose rooted
+    successor would leave the rest lower than the first subtree, or as
+    high but smaller, steps at r, the end of the first subtree, instead.
+    """
+    inf = sys.maxsize
+    k = n // 2 + 1
+    levels = list(range(k)) + list(range(1, n - k + 1))
+    parent = list(range(-1, n - 1))
+    if k < n:
+        parent[k] = 0
+    p = 2 if n == 4 else n - 1
+    q = n - 2 if n > 3 else -1
+    h1, h2, r = k - 1, n - 1, k - 1
+    c = n if n % 2 == 0 else inf
+    yield levels, 0
+    while q >= 0:
+        fixit = needr = needh2 = needc = False
+        if c == n or (
+            p == h2
+            and (
+                (levels[h1] == levels[h2] + 1 and n - 1 - h2 > r - h1)
+                or (levels[h1] == levels[h2] and n - h2 < r - h1)
+            )
+        ):
+            # The rooted successor would break the center condition: skip
+            # ahead by rewriting the root's first subtree.
+            if levels[r] > 2:
+                p, q = r, parent[r]
+                if h1 == r:
+                    h1 -= 1
+                fixit = True
+            else:
+                p, q = r, 1
+                r -= 1
+        if p <= h1:
+            h1 = p - 1
+        if p <= r:
+            needr = True
+        elif p <= h2:
+            needh2 = True
+        elif levels[h2] == levels[h1] - 1 and n - 1 - h2 == r - h1:
+            needc = p <= c
+        else:
+            c = inf
+        pivot = p
+        delta = q - p
+        lq, wq = levels[q], parent[q]
+        p = -1
+        for i in range(pivot, n):
+            lvl = levels[i] = levels[i + delta]
+            if lvl == 1:
+                parent[i] = 0
+            else:
+                p = i
+                q = parent[i] = wq if lvl == lq else parent[i + delta] - delta
+            if needr and lvl == 1:
+                needr, needh2 = False, True
+                r = i - 1
+            if needh2 and lvl <= levels[i - 1] and i > r + 1:
+                needh2 = False
+                h2 = i - 1
+                if levels[h2] == levels[h1] - 1 and n - 1 - h2 == r - h1:
+                    needc = True
+                else:
+                    c = inf
+            if needc:
+                if lvl != levels[h1 - h2 + i] - 1:
+                    needc = False
+                    c = i
+                else:
+                    c = i + 1
+        if fixit:
+            # The rest of the tree becomes a path as deep as the first subtree.
+            r = n - h1 - 1
+            for i in range(r + 1, n):
+                levels[i] = i - r
+                parent[i] = i - 1
+            parent[r + 1] = 0
+            h2, p, q, c = n - 1, n - 1, n - 2, inf
+            pivot = min(pivot, r + 1)
+        else:
+            if p < 0:
+                p = pivot - 1 if levels[pivot - 1] != 1 else pivot - 2
+                q = parent[p]
+            if needh2:
+                h2 = n - 1
+                c = n if levels[h2] == levels[h1] - 1 and h1 == r else inf
+        yield levels, pivot
 
 
 def _levels_to_parents(levels: list[int]) -> list[int]:
@@ -115,38 +164,65 @@ def _levels_to_tree(levels: list[int]) -> Tree:
     return from_edge_list(len(levels), [(parent[i], i) for i in range(1, len(levels))])
 
 
-def _levels_metrics(levels: list[int]) -> tuple[int, int, int]:
-    """(wiener, diameter, reverse_wiener) in one reverse pass over a level sequence.
+def _free_tree_metrics(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """(levels, diameter, reverse_wiener) for every free tree on n vertices.
 
-    Scanning right to left, the children of the vertex met at level l are
-    the vertices at level l + 1 seen since the last vertex at level l.  So
-    index l + 1 of ``size`` holds that vertex's subtree size less one, and
-    of ``top1`` and ``top2`` the two largest heights + 1 among its children.
-    W is the edge-cut sum of s(n - s) over subtree sizes s, and d is the
-    largest top1 + top2 over all vertices.
+    One forward pass per tree, resumed at the generator's pivot.  Before
+    index i the vertices not yet closed are the one at index i - 1 and its
+    ancestors, one per level, kept as an immutable stack of nodes (size,
+    top1, top2, node below): the subtree size so far and the two largest
+    heights + 1 among the closed children.  A vertex closes when a vertex at its level
+    or above arrives; it then adds s(n - s) to W (the edge-cut sum), its
+    top1 + top2 to the diameter candidates, and folds into its parent.
+    The stack, W and d of the closed vertices are kept for every index, so
+    a tree costs the indices from its pivot on plus closing the stack,
+    which is O(height).
     """
-    n = len(levels)
-    size = [0] * (n + 1)
-    top1 = [0] * (n + 1)
-    top2 = [0] * (n + 1)
-    w = d = 0
-    for lvl in reversed(levels):
-        below = lvl + 1
-        s = size[below] + 1
-        a = top1[below]
-        b = top2[below]
-        size[below] = top1[below] = top2[below] = 0
+    stack: list = [None] * (n + 1)
+    ws = [0] * (n + 1)
+    ds = [0] * (n + 1)
+    stack[1] = (1, 0, 0, None)
+    pairs = n * (n - 1) // 2
+    # Read through the module global, so a wrapper installed there sees every tree.
+    for levels, pivot in free_tree_level_sequences(n):
+        start = pivot or 1
+        node, w, d = stack[start], ws[start], ds[start]
+        top = levels[start - 1]
+        for i in range(start, n):
+            lvl = levels[i]
+            while top >= lvl:
+                s, a, b, (ps, pa, pb, below) = node
+                if a + b > d:
+                    d = a + b
+                w += s * (n - s)
+                a += 1
+                if a > pa:
+                    node = (ps + s, a, pa, below)
+                elif a > pb:
+                    node = (ps + s, pa, a, below)
+                else:
+                    node = (ps + s, pa, pb, below)
+                top -= 1
+            node = (1, 0, 0, node)
+            top = lvl
+            stack[i + 1], ws[i + 1], ds[i + 1] = node, w, d
+        s, a, b, below = node
+        while below is not None:
+            if a + b > d:
+                d = a + b
+            w += s * (n - s)
+            ps, pa, pb, below = below
+            s += ps
+            a += 1
+            if a > pa:
+                b = pa
+            elif a > pb:
+                a, b = pa, a
+            else:
+                a, b = pa, pb
         if a + b > d:
             d = a + b
-        w += s * (n - s)
-        size[lvl] += s
-        a += 1
-        if a > top1[lvl]:
-            top2[lvl] = top1[lvl]
-            top1[lvl] = a
-        elif a > top2[lvl]:
-            top2[lvl] = a
-    return w, d, n * (n - 1) * d // 2 - w
+        yield levels, d, pairs * d - w
 
 
 # --- generation ---------------------------------------------------------------
@@ -158,7 +234,7 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[Tree]:
         raise BoundExceeded(f"n must be positive, got {n}")
     if n > max_n:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
-    for levels in free_tree_level_sequences(n):
+    for levels, _ in free_tree_level_sequences(n):
         yield _levels_to_tree(levels)
 
 
@@ -251,30 +327,32 @@ class _Buckets:
     A tie set holds items in arrival order; past ``tie_cap`` it is only
     flagged truncated.  For :func:`rank_trees` the items are level
     sequences, and :meth:`entries` builds trees and canonical codes for the
-    kept ones alone.
+    kept ones alone.  Given ``copy``, the buckets store ``copy(item)``, and
+    only for the items they keep: the level-sequence generator reuses its
+    list.
     """
 
-    def __init__(self, k: int, tie_cap: int) -> None:
+    def __init__(self, k: int, tie_cap: int, copy=None) -> None:
         self.k = k
         self.tie_cap = tie_cap
+        self.copy = copy
         self.data: dict[int, list] = {}  # value -> [items, truncated]
         self.threshold: int | None = None  # largest kept value, once k are kept
 
     def add(self, value: int, item) -> None:
         entry = self.data.get(value)
-        if entry is not None:
-            if len(entry[0]) < self.tie_cap:
-                entry[0].append(item)
-            else:
-                entry[1] = True
-            return
-        if self.threshold is not None and value > self.threshold:
-            return
-        self.data[value] = [[item], False]
-        if len(self.data) > self.k:
-            del self.data[max(self.data)]
-        if len(self.data) == self.k:
-            self.threshold = max(self.data)
+        if entry is None:
+            if self.threshold is not None and value > self.threshold:
+                return
+            entry = self.data[value] = [[], False]
+            if len(self.data) > self.k:
+                del self.data[max(self.data)]
+            if len(self.data) == self.k:
+                self.threshold = max(self.data)
+        if len(entry[0]) < self.tie_cap:
+            entry[0].append(item if self.copy is None else self.copy(item))
+        else:
+            entry[1] = True
 
     def ties(self) -> list[tuple[int, list, bool]]:
         """(value, items in arrival order, truncated), by increasing value."""
@@ -302,11 +380,9 @@ def rank_trees(
         raise BoundExceeded(f"n must be positive, got {n}")
     if n > max_n:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
-    buckets = _Buckets(k, tie_cap)
-    # The generator yields a fresh list each time (_successor_rooted copies)
-    # and never changes it afterwards, so the buckets may keep it as is.
-    for levels in free_tree_level_sequences(n):
-        buckets.add(_levels_metrics(levels)[2], levels)
+    buckets = _Buckets(k, tie_cap, copy=list)
+    for levels, _, lam in _free_tree_metrics(n):
+        buckets.add(lam, levels)
     return buckets.entries()
 
 
@@ -353,9 +429,8 @@ def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> ExtremalResult:
         return ExtremalResult(rank=rank, value=value, attaining=tuple(specs), notes=notes)
     if n > max_n_free:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n_free}")
-    buckets = _Buckets(2, sys.maxsize)
-    for levels in free_tree_level_sequences(n):
-        _, diam, lam = _levels_metrics(levels)
+    buckets = _Buckets(2, sys.maxsize, copy=list)
+    for levels, diam, lam in _free_tree_metrics(n):
         if diam == d:
             buckets.add(lam, levels)
     entries = buckets.entries()

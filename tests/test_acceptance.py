@@ -115,7 +115,7 @@ def test_criterion_5_f_n4_against_the_oracle(diam4_minima):
 
 
 # The published table of second-minimum attaining trees omits one
-# co-attaining tree at these n (r = 2q+1 for q = 2, and 3 <= r <= q - 2
+# co-attaining tree at these n (r = 2q+1 for q = 2, and 3 <= r <= q - 1
 # otherwise); the enumeration oracle is authoritative and the claimed set
 # is always a strict subset of the oracle set at the same value.
 G4_TABLE_OMISSIONS = {9, 19, 28, 29, 39, 40, 41, 52, 53, 54, 55, 67, 68, 69, 70}

@@ -241,6 +241,27 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "span",
+        [
+            ["--n-from", "6", "--n-to", "40"],
+            ["--n-from", "30", "--n-to", "40"],
+            ["--n-from", "5", "--n-to", "41"],
+            ["--n", "7"],
+            ["--n", "60"],
+        ],
+    )
+    def test_lemmas_range_it_cannot_draw_is_usage(self, capsys, span):
+        # The battery draws n from 5 up, and its diameter-4 inputs stop at n = 40.
+        code, out, err = run(capsys, "verify", "lemmas", *span, "--trials", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("span", [["--n-from", "5", "--n-to", "40"], ["--n-from", "1", "--n-to", "12"]])
+    def test_lemmas_range_it_can_draw(self, capsys, span):
+        code, _, err = run(capsys, "verify", "lemmas", *span, "--trials", "5")
+        assert code == EXIT_OK and err == ""
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_lemmas_without_trials_is_usage(self, capsys, trials):
         # A campaign that checks nothing must not pass.

@@ -1,12 +1,14 @@
 """Generators and ranking oracles, cross-validated against independent routes."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
+from revwiener import enumeration
 from revwiener.enumeration import (
     _diam4_classes,
-    _levels_metrics,
+    _free_tree_metrics,
     _levels_to_tree,
     _min2_diam4_specs,
     free_tree_level_sequences,
@@ -45,7 +47,7 @@ class TestFreeTrees:
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            list(gen_free_trees(21))
+            list(gen_free_trees(23))
         assert sum(1 for _ in gen_free_trees(16)) == 19320
 
     def test_nonpositive_n(self):
@@ -53,13 +55,42 @@ class TestFreeTrees:
             list(gen_free_trees(0))
 
 
+class TestLevelSequences:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_same_order_as_rooted_successor_and_skip(self, n):
+        assert [list(levels) for levels, _ in free_tree_level_sequences(n)] == list(_reference_level_sequences(n))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_prefix_before_pivot_unchanged(self, n):
+        previous = None
+        for levels, pivot in free_tree_level_sequences(n):
+            if previous is None:
+                assert pivot == 0
+            else:
+                assert 1 <= pivot < n
+                assert levels[:pivot] == previous[:pivot]
+                assert levels != previous
+            previous = list(levels)
+
+
 class TestLevelsMetrics:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_matches_bfs_and_edge_cut(self, n):
         # invariants.metrics takes d from BFS and W from the edge-cut sum.
-        for levels in free_tree_level_sequences(n):
+        for levels, d, lam in _free_tree_metrics(n):
             m = metrics(_levels_to_tree(levels))
-            assert _levels_metrics(levels) == (m.wiener, m.diameter, m.reverse_wiener)
+            wiener = n * (n - 1) * d // 2 - lam
+            assert (wiener, d, lam) == _levels_metrics(levels) == (m.wiener, m.diameter, m.reverse_wiener)
+
+    def test_sample_at_18(self):
+        picked = set(random.Random(18).sample(range(123867), 300))
+        seen = 0
+        for index, (levels, d, lam) in enumerate(_free_tree_metrics(18)):
+            if index in picked:
+                seen += 1
+                m = metrics(_levels_to_tree(levels))
+                assert (d, lam) == _levels_metrics(levels)[1:] == (m.diameter, m.reverse_wiener), index
+        assert seen == len(picked)
 
 
 class TestLabeledTrees:
@@ -177,9 +208,48 @@ class TestRankTrees:
                         assert entry.trees == tuple(sorted(codes[:tie_cap]))
                         assert entry.truncated == (len(codes) > tie_cap)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_first_ties_in_reference_order(self, n):
+        # The buckets copy the generator's reused list only when they keep
+        # it; a capped tie set holds the first trees in reference order.
+        by_value: dict[int, list] = {}
+        for levels in _reference_level_sequences(n):
+            by_value.setdefault(_levels_metrics(levels)[2], []).append(levels)
+        smallest = sorted(by_value.items())[:3]
+        for tie_cap in (1, 2):
+            expected = [
+                (value, tuple(sorted(canonical_code(_levels_to_tree(lv)) for lv in seqs[:tie_cap])), len(seqs) > tie_cap)
+                for value, seqs in smallest
+            ]
+            entries = rank_trees(n, 3, tie_cap=tie_cap)
+            assert [(e.value, e.trees, e.truncated) for e in entries] == expected
+
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             rank_trees(25, 2)
+
+
+class TestVisitCount:
+    # perfbench counts trees_visited by wrapping the module-global generator
+    # name, and its check_trace compares that count with Otter's.
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_oracles_reach_the_generator_through_its_global_name(self, n, monkeypatch):
+        generator = enumeration.free_tree_level_sequences
+        visited = []
+
+        def counted(m):
+            for item in generator(m):
+                visited.append(item)
+                yield item
+
+        monkeypatch.setattr(enumeration, "free_tree_level_sequences", counted)
+        rank_trees(n, 3)
+        assert len(visited) == FREE_TREE_COUNTS[n - 1]
+        if n >= 6:
+            visited.clear()
+            min_lambda_diam(n, 5)
+            assert len(visited) == FREE_TREE_COUNTS[n - 1]
 
 
 @lru_cache(maxsize=None)
@@ -221,3 +291,103 @@ class TestClassExtrema:
             min_lambda_diam(100, 4, max_n_diam4=80)
         with pytest.raises(BoundExceeded):
             min_lambda_diam(25, 5)
+
+
+# --- references: rooted successor plus skip, and a reverse metrics pass -------------
+
+
+def _successor_rooted(levels, p=None):
+    """Next rooted-tree level sequence in reverse lexicographic order, as a new list."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_root(levels):
+    """Left subtree of the root, and the tree with that subtree removed."""
+    m = len(levels)
+    seen_one = False
+    for i, lvl in enumerate(levels):
+        if lvl == 1:
+            if seen_one:
+                m = i
+                break
+            seen_one = True
+    left = [levels[i] - 1 for i in range(1, m)]
+    rest = [0] + levels[m:]
+    return left, rest
+
+
+def _skip_to_free(levels):
+    """Return ``levels`` if it encodes a free tree, else the next one that does."""
+    left, rest = _split_root(levels)
+    lh, rh = max(left), max(rest)
+    valid = rh >= lh
+    if valid and rh == lh:
+        if len(left) > len(rest) or (len(left) == len(rest) and left > rest):
+            valid = False
+    if valid:
+        return levels
+    p = len(left)
+    nxt = _successor_rooted(levels, p)
+    if levels[p] > 2 and nxt is not None:
+        new_left, _ = _split_root(nxt)
+        suffix = list(range(1, max(new_left) + 2))
+        nxt[-len(suffix):] = suffix
+    return nxt
+
+
+def _reference_level_sequences(n):
+    """Free-tree level sequences by rooted successor plus skip, each a fresh list."""
+    if n == 1:
+        yield [0]
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        levels = _skip_to_free(levels)
+        if levels is None:
+            return
+        yield levels
+        levels = _successor_rooted(levels)
+
+
+def _levels_metrics(levels):
+    """(wiener, diameter, reverse_wiener) in one reverse pass over a level sequence.
+
+    Scanning right to left, the children of the vertex met at level l are
+    the vertices at level l + 1 seen since the last vertex at level l.  So
+    index l + 1 of ``size`` holds that vertex's subtree size less one, and
+    of ``top1`` and ``top2`` the two largest heights + 1 among its children.
+    """
+    n = len(levels)
+    size = [0] * (n + 1)
+    top1 = [0] * (n + 1)
+    top2 = [0] * (n + 1)
+    w = d = 0
+    for lvl in reversed(levels):
+        below = lvl + 1
+        s = size[below] + 1
+        a = top1[below]
+        b = top2[below]
+        size[below] = top1[below] = top2[below] = 0
+        if a + b > d:
+            d = a + b
+        w += s * (n - s)
+        size[lvl] += s
+        a += 1
+        if a > top1[lvl]:
+            top2[lvl] = top1[lvl]
+            top1[lvl] = a
+        elif a > top2[lvl]:
+            top2[lvl] = a
+    return w, d, n * (n - 1) * d // 2 - w
