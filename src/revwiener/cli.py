@@ -15,7 +15,7 @@ from . import closed_forms, enumeration, verify
 from .errors import BoundExceeded, InternalCheckFailed, RevWienerError, SpecParseError
 from .families import build, diam4, parse_family_spec
 from .invariants import metrics
-from .tree import diameter_and_centers, format_edge_list, parse_edge_list
+from .tree import format_edge_list, parse_edge_list
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -101,11 +101,7 @@ def cmd_enumerate(args) -> int:
     if args.diameter == 4 and n > args.max_n_free:
         trees = (diam4(s) for s in enumeration.gen_diam4_specs(n))
     else:
-        gen = enumeration.gen_free_trees(n, max_n=args.max_n_free)
-        if args.diameter is None:
-            trees = gen
-        else:
-            trees = (t for t in gen if diameter_and_centers(t)[0] == args.diameter)
+        trees = enumeration.gen_free_trees(n, max_n=args.max_n_free, diameter=args.diameter)
     if args.format == "structured":
         payload = [{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees]
         _emit(json.dumps({"count": len(payload), "trees": payload}, indent=2) + "\n", args.out)

@@ -11,10 +11,11 @@ independent fallback builds each size class by attaching a leaf to every
 vertex of every smaller class representative and deduplicating by
 canonical code; the two routes are cross-validated in the test suite.
 
-The diameter-4 oracle walks the classes as integer partitions, one run
-of equal parts per recursion level, and carries k and the sum of b*v^2
-down the walk, so each class gets its reverse Wiener index from a few
-integer operations instead of a closed-form call.
+The diameter-4 oracle walks the classes as integer partitions in one
+generator frame: one run of equal parts per level of an explicit stack,
+and the last two runs (blocks of 3, then of 2) as one closed loop.  The
+reverse Wiener index is additive over the runs, so each class gets it
+from a few integer operations instead of a closed-form call.
 
 Everything is streamed; nothing materializes a full class.
 """
@@ -228,14 +229,23 @@ def _free_tree_metrics(n: int) -> Iterator[tuple[list[int], int, int]]:
 # --- generation ---------------------------------------------------------------
 
 
-def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[Tree]:
-    """Exactly one representative tree per isomorphism class on n vertices."""
+def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None = None) -> Iterator[Tree]:
+    """Exactly one representative tree per isomorphism class on n vertices.
+
+    Given ``diameter``, only the classes of that diameter: the metrics pass
+    reads d off each level sequence, and only the kept trees are built.
+    """
     if n < 1:
         raise BoundExceeded(f"n must be positive, got {n}")
     if n > max_n:
         raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
-    for levels, _ in free_tree_level_sequences(n):
-        yield _levels_to_tree(levels)
+    if diameter is None:
+        for levels, _ in free_tree_level_sequences(n):
+            yield _levels_to_tree(levels)
+    else:
+        for levels, d, _ in _free_tree_metrics(n):
+            if d == diameter:
+                yield _levels_to_tree(levels)
 
 
 def gen_labeled_trees(n: int) -> Iterator[Tree]:
@@ -264,36 +274,61 @@ def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
     """(reverse Wiener index, spec) for every diameter-4 class on n vertices.
 
     For each hub pendant count n0, the other n - 1 - n0 vertices split into
-    blocks of v + 1 (a spoke and its v leaves).  The walk picks one run of
-    equal blocks per level, v and then its multiplicity b both descending,
-    and carries k and the sum of b*v^2 down, so a class costs a few integer
-    operations and the one spec it yields.
+    at least two blocks of c = v + 1 vertices (a spoke and its v leaves).
+    The walk takes these partitions in reverse lexicographic order, one run
+    of b equal blocks at a time, c and then b descending.  A run of blocks
+    of 4 or more that leaves vertices over descends a level: the level's
+    state goes on an explicit stack and the leftover is split into smaller
+    blocks.  The last two runs, blocks of 3 and then blocks of 2, are one
+    closed loop, since the blocks of 2 must fill what the blocks of 3
+    leave.  So the whole walk runs in one generator frame, and a class
+    costs a few integer operations and the one spec it yields.
+
+    The index is additive over blocks.  Counting a hub pendant as a block
+    with v = 0, it is 3(n - 1) plus (n - 2) + v^2 per block, which is
+    2n(n - 1) - W for the W of families.wiener_diam4_closed; ``base`` holds
+    that sum over the hub pendants and the runs chosen so far.
     """
-    # The index is 2n(n-1) - W with W = (n-1)(2n-3) - (n-2)(n0 + k) - sum b*v^2,
-    # the formula of families.wiener_diam4_closed.
-    top = 2 * n * (n - 1) - (n - 1) * (2 * n - 3)
     m = n - 2
-
-    def runs(rest, cap, n0, k, sq, parts):
-        # Blocks of size c = v + 1 <= cap + 1 fill ``rest``; ``parts`` holds
-        # the larger values already chosen, ascending.
-        for c in range(min(cap + 1, rest), 2, -1):
-            v = c - 1
-            for b in range(rest // c, 0, -1):
-                left = rest - b * c
-                if left == 0:
-                    spec = Diam4Spec(n0=n0, parts=((v, b),) + parts)
-                    yield top + m * (n0 + k + b) + sq + b * v * v, spec
-                elif left > 1:  # a leftover of 1 cannot be a block
-                    yield from runs(left, v - 1, n0, k + b, sq + b * v * v, ((v, b),) + parts)
-        if rest % 2 == 0:  # blocks of 2 are the last run: they must fill the rest
-            b = rest // 2
-            yield top + m * (n0 + k + b) + sq + b, Diam4Spec(n0=n0, parts=((1, b),) + parts)
-
     for n0 in range(n - 4):
         rest = n - 1 - n0
+        base = 3 * (n - 1) + m * n0
+        parts = ()  # the runs chosen so far, values ascending
+        stack = []  # (rest, c, b, base, parts) at which to resume each level above
         # A first block of at most rest - 2 leaves room for a second one (k >= 2).
-        yield from runs(rest, rest - 3, n0, 0, 0, ())
+        c = rest - 2
+        b = rest // c
+        while True:
+            while c >= 4:
+                if b == 0:
+                    c -= 1
+                    b = rest // c
+                    continue
+                v = c - 1
+                left = rest - b * c
+                lam = base + b * (m + v * v)
+                if left == 0:
+                    yield lam, Diam4Spec(n0, ((v, b),) + parts)
+                elif left > 1:  # a leftover of 1 cannot be a block
+                    stack.append((rest, c, b - 1, base, parts))
+                    rest, base, parts = left, lam, ((v, b),) + parts
+                    c = min(v, rest)
+                    b = rest // c
+                    continue
+                b -= 1
+            if c == 3:
+                for b in range(rest // 3, 0, -1):
+                    left = rest - 3 * b
+                    lam = base + b * (m + 4)
+                    if left == 0:
+                        yield lam, Diam4Spec(n0, ((2, b),) + parts)
+                    elif left % 2 == 0:
+                        yield lam + left // 2 * (m + 1), Diam4Spec(n0, ((1, left // 2), (2, b)) + parts)
+            if rest % 2 == 0:
+                yield base + rest // 2 * (m + 1), Diam4Spec(n0, ((1, rest // 2),) + parts)
+            if not stack:
+                break
+            rest, c, b, base, parts = stack.pop()
 
 
 def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
@@ -302,8 +337,7 @@ def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
     A hub pendant count n0 plus a partition of the remaining n-1-n0
     vertices into k >= 2 blocks of size n_i+1 >= 2 is a bijection onto the
     classes.  The stream runs n0 ascending, then the partitions in reverse
-    lexicographic order.  It walks them one run of equal blocks per level
-    and carries the signature (k, sum of b*v^2) along; see _diam4_classes.
+    lexicographic order, as _diam4_classes walks them.
     """
     for _, spec in _diam4_classes(n):
         yield spec
@@ -389,8 +423,11 @@ def rank_trees(
 def _min2_diam4_specs(n: int, tie_cap: int = DEFAULT_TIE_CAP) -> list[tuple[int, list[Diam4Spec], bool]]:
     """Two smallest reverse-Wiener values over diameter-4 classes, with spec ties."""
     buckets = _Buckets(2, tie_cap)
+    threshold = None  # buckets.threshold, read again after each add
     for lam, spec in _diam4_classes(n):
-        buckets.add(lam, spec)
+        if threshold is None or lam <= threshold:
+            buckets.add(lam, spec)
+            threshold = buckets.threshold
     return buckets.ties()
 
 

@@ -42,6 +42,17 @@ class Diam4Spec:
     parts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # One pass accepts a valid spec.  Only an invalid one runs the ordered
+        # checks below, which pick the message: n0, then k, then part by part.
+        k = prev = 0
+        for value, mult in self.parts:
+            if value < 1 or mult < 1 or value <= prev:
+                break
+            k += mult
+            prev = value
+        else:
+            if k >= 2 and self.n0 >= 0:
+                return
         if self.n0 < 0:
             raise InvalidSpec(f"n0 must be nonnegative, got {self.n0}")
         if self.k < 2:

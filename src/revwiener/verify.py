@@ -14,11 +14,10 @@ from __future__ import annotations
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import closed_forms, enumeration, transforms
-from .errors import DomainTooSmall, InternalCheckFailed, UnknownTheorem
+from .errors import BoundExceeded, DomainTooSmall, InternalCheckFailed, UnknownTheorem
 from .families import Diam4Spec, DoubleStarSpec, build, diam4, double_star, star
 from .invariants import reverse_wiener
 from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer, has_center_pendant
@@ -384,13 +383,19 @@ def run_verification(
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
     if theorem == "lemmas":
-        return run_lemma_battery(trials=trials, max_n=min(n_to, 40), seed=seed)
+        # The battery draws n from 5 up to n_to, and its diameter-4 inputs stop at 40.
+        if n_from > 5 or n_to > 40:
+            raise BoundExceeded(f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}")
+        return run_lemma_battery(trials=trials, max_n=n_to, seed=seed)
     start = time.monotonic()
     bounds = {"max_n_free": max_n_free, "max_n_diam4": max_n_diam4}
     ns = list(range(n_from, n_to + 1))
     tasks = [(theorem, n, bounds) for n in ns]
     report = VerificationReport(theorem=theorem)
     if jobs > 1 and len(tasks) > 1:
+        # Imported here, so a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for recs in pool.map(_worker, tasks):
                 report.records.extend(recs)

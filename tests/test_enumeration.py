@@ -45,9 +45,18 @@ class TestFreeTrees:
         slow = set(free_trees_by_extension(n))
         assert fast == slow
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_diameter_filter_matches_built_trees(self, n):
+        trees = list(gen_free_trees(n))
+        for d in range(-1, n + 1):
+            kept = [t.edges for t in gen_free_trees(n, diameter=d)]
+            assert kept == [t.edges for t in trees if diameter_and_centers(t)[0] == d], d
+
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             list(gen_free_trees(23))
+        with pytest.raises(BoundExceeded):
+            list(gen_free_trees(23, diameter=5))
         assert sum(1 for _ in gen_free_trees(16)) == 19320
 
     def test_nonpositive_n(self):
@@ -131,15 +140,29 @@ class TestDiam4Specs:
         assert list(gen_diam4_specs(n)) == list(_part_by_part_specs(n))
 
     def test_count_matches_generating_function(self):
-        # q[m] = partitions of m into parts >= 2, the coefficients of
-        # prod_{j >= 2} 1 / (1 - x^j); one of them has a single part.
-        q = [1] + [0] * 40
-        for part in range(2, 41):
-            for m in range(part, 41):
-                q[m] += q[m - part]
+        counts = _diam4_class_counts(40)
         for n in range(1, 41):
-            expected = sum(q[rest] - 1 for rest in range(4, n))
-            assert sum(1 for _ in gen_diam4_specs(n)) == expected, n
+            assert sum(1 for _ in gen_diam4_specs(n)) == counts[n], n
+
+    @pytest.mark.parametrize("n", range(5, 31))
+    def test_walk_matches_run_by_run_recursion(self, n):
+        assert list(_diam4_classes(n)) == list(_run_by_run_classes(n))
+
+    def test_min2_builds_one_spec_per_class(self, monkeypatch):
+        # The traced benchmark counts Diam4Spec calls made through the
+        # enumeration module's global and requires one per class.
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return Diam4Spec(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "Diam4Spec", counting)
+        counts = _diam4_class_counts(30)
+        for n in range(1, 31):
+            built.clear()
+            _min2_diam4_specs(n)
+            assert len(built) == counts[n], n
 
     @pytest.mark.parametrize("n", range(5, 31))
     def test_carried_lambda_matches_closed_form(self, n):
@@ -177,6 +200,42 @@ def _part_by_part_specs(n):
             for block in blocks:
                 counts[block - 1] = counts.get(block - 1, 0) + 1
             yield Diam4Spec(n0=n0, parts=tuple(sorted(counts.items())))
+
+
+def _run_by_run_classes(n):
+    """(index, spec) per diameter-4 class, one generator frame per run of equal blocks."""
+    top = 2 * n * (n - 1) - (n - 1) * (2 * n - 3)
+    m = n - 2
+
+    def runs(rest, cap, n0, k, sq, parts):
+        for c in range(min(cap + 1, rest), 2, -1):
+            v = c - 1
+            for b in range(rest // c, 0, -1):
+                left = rest - b * c
+                if left == 0:
+                    yield top + m * (n0 + k + b) + sq + b * v * v, Diam4Spec(n0=n0, parts=((v, b),) + parts)
+                elif left > 1:
+                    yield from runs(left, v - 1, n0, k + b, sq + b * v * v, ((v, b),) + parts)
+        if rest % 2 == 0:
+            b = rest // 2
+            yield top + m * (n0 + k + b) + sq + b, Diam4Spec(n0=n0, parts=((1, b),) + parts)
+
+    for n0 in range(n - 4):
+        rest = n - 1 - n0
+        yield from runs(rest, rest - 3, n0, 0, 0, ())
+
+
+def _diam4_class_counts(n_max):
+    """Diameter-4 classes on n = 0..n_max vertices, from the generating function.
+
+    q[m] counts the partitions of m into parts >= 2, the coefficients of
+    prod_{j >= 2} 1 / (1 - x^j); one of them has a single part.
+    """
+    q = [1] + [0] * n_max
+    for part in range(2, n_max + 1):
+        for m in range(part, n_max + 1):
+            q[m] += q[m - part]
+    return [sum(q[rest] - 1 for rest in range(4, n)) for n in range(n_max + 1)]
 
 
 class TestRankTrees:

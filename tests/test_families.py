@@ -74,6 +74,35 @@ class TestDiam4Spec:
         with pytest.raises(InvalidSpec):
             Diam4Spec(n0=n0, parts=parts)
 
+    @pytest.mark.parametrize(
+        "n0, parts, message",
+        [
+            (-1, ((1, 2),), "n0 must be nonnegative, got -1"),
+            (0, ((1, 1),), "need k >= 2 spokes, got k=1"),
+            (0, (), "need k >= 2 spokes, got k=0"),
+            (0, ((0, 2),), "part value must be >= 1, got 0"),
+            (0, ((-1, 3),), "part value must be >= 1, got -1"),
+            (0, ((1, 0), (2, 2)), "part multiplicity must be >= 1, got 0"),
+            (0, ((2, 1), (1, 1)), "part values must be strictly increasing: ((2, 1), (1, 1))"),
+            (0, ((2, 1), (2, 1)), "part values must be strictly increasing: ((2, 1), (2, 1))"),
+            # Several faults at once: n0 first, then k, then part by part.
+            (-2, ((1, 1),), "n0 must be nonnegative, got -2"),
+            (-1, ((0, 0),), "n0 must be nonnegative, got -1"),
+            (0, ((0, 1), (2, -1)), "need k >= 2 spokes, got k=0"),
+            (0, ((1, 2), (1, -1)), "need k >= 2 spokes, got k=1"),
+            (0, ((0, 0), (1, 3)), "part value must be >= 1, got 0"),
+            (0, ((2, 1), (0, 1)), "part value must be >= 1, got 0"),
+            (0, ((2, 0), (1, 3)), "part multiplicity must be >= 1, got 0"),
+            (0, ((1, 0), (0, 3)), "part multiplicity must be >= 1, got 0"),
+            (0, ((3, 1), (2, 1), (0, 1)), "part values must be strictly increasing: ((3, 1), (2, 1), (0, 1))"),
+            (0, ((1, 1), (3, 2), (2, 0)), "part multiplicity must be >= 1, got 0"),
+        ],
+    )
+    def test_validation_message(self, n0, parts, message):
+        with pytest.raises(InvalidSpec) as exc:
+            Diam4Spec(n0=n0, parts=parts)
+        assert str(exc.value) == message
+
     def test_str(self):
         assert str(Diam4Spec(n0=0, parts=((2, 3),))) == "T(2^3)"
         assert str(Diam4Spec(n0=1, parts=((1, 2), (3, 1)))) == "T(n0=1; 1^2, 3)"

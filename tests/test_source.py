@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import revwiener
@@ -37,3 +40,14 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/revwiener: {', '.join(found)}"
+
+
+def test_cli_import_loads_no_process_pool():
+    # Every run pays for its imports; only a --jobs run above 1 needs a process pool.
+    code = (
+        "import revwiener.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from revwiener.errors import DomainTooSmall, UnknownTheorem
+from revwiener.errors import BoundExceeded, DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
     THEOREM_IDS,
@@ -97,6 +97,19 @@ class TestLemmaBattery:
         report = run_verification("lemmas", 5, 25, trials=10, seed=2)
         assert report.theorem == "lemmas"
         assert report.all_match
+
+    @pytest.mark.parametrize("n_from, n_to", [(30, 60), (6, 40), (5, 41), (7, 7)])
+    def test_range_it_cannot_draw_is_rejected(self, n_from, n_to):
+        # The battery draws n from 5 up, and its diameter-4 inputs stop at n = 40.
+        with pytest.raises(BoundExceeded) as exc:
+            run_verification("lemmas", n_from, n_to, trials=5, seed=1)
+        assert str(exc.value) == f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}"
+
+    def test_range_it_can_draw_sets_the_largest_n(self):
+        report = run_verification("lemmas", 1, 12, trials=5, seed=1)
+        assert [r.note for r in report.records] == [
+            f"{lemma}: 5 random valid inputs, n <= 12" for lemma in ("lemma1", "lemma2", "lemma3", "lemma5")
+        ]
 
     @pytest.mark.parametrize("trials, max_n", [(0, 25), (-3, 25), (10, 6), (10, 4)])
     def test_inputs_that_check_nothing_or_never_end_are_rejected(self, trials, max_n):
