@@ -215,12 +215,15 @@ def _report_human(report: verify.VerificationReport) -> str:
 
 
 def cmd_verify(args) -> int:
+    _require_positive(jobs=args.jobs)
     if args.n is not None:
         n_from = n_to = args.n
     elif args.n_from is not None and args.n_to is not None:
         n_from, n_to = args.n_from, args.n_to
     elif args.theorem == "lemmas":
-        n_from, n_to = 5, 40
+        # A missing end is the battery's own: n from 5 up to 40.
+        n_from = 5 if args.n_from is None else args.n_from
+        n_to = 40 if args.n_to is None else args.n_to
     else:
         raise SpecParseError("verify needs --n or both --n-from and --n-to")
     if args.theorem == "lemmas":

@@ -1,4 +1,4 @@
-"""Brute-force oracles: free-tree generation, diameter-4 enumeration, ranking.
+"""Brute-force oracles: free-tree generation, diameter-3 and diameter-4 classes, ranking.
 
 The fast free-tree generator is the constant-amortized-time successor of
 Wright, Richmond, Odlyzko and McKay (each tree rooted at a center, its
@@ -10,6 +10,10 @@ a tree costs amortized O(1) plus O(height) to close the pass.  A slow,
 independent fallback builds each size class by attaching a leaf to every
 vertex of every smaller class representative and deduplicating by
 canonical code; the two routes are cross-validated in the test suite.
+
+The diameter-3 oracle yields each double star as a level sequence with
+its reverse Wiener index from one W/d fold; callers build trees only for
+the values they keep.
 
 The diameter-4 oracle walks the classes as integer partitions in one
 generator frame: one run of equal parts per level of an explicit stack,
@@ -28,9 +32,9 @@ from itertools import product
 from typing import Iterator
 
 from .closed_forms import ExtremalResult
-from .errors import BoundExceeded, EmptyClass
+from .errors import BoundExceeded, EmptyClass, InternalCheckFailed
 from .families import Diam4Spec
-from .tree import Tree, canonical_code, from_edge_list, from_pruefer
+from .tree import Tree, canonical_code, from_edge_list, from_pruefer, wiener_diameter_fold
 
 DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
@@ -270,6 +274,23 @@ def free_trees_by_extension(n: int) -> dict[str, Tree]:
     return classes
 
 
+def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:
+    """(reverse Wiener index, level sequence) for every diameter-3 class on n vertices.
+
+    The classes are the double stars D(n,a), 2 <= a <= n/2, each rooted at
+    the hub of its larger star: the root, the other hub with its a - 1
+    leaves, then the root's n - a - 1 leaves.  W and d come from the
+    reverse fold of tree.wiener_diameter_fold over the sequence.
+    """
+    pairs = n * (n - 1) // 2
+    for a in range(2, n // 2 + 1):
+        levels = [0, 1] + [2] * (a - 1) + [1] * (n - a - 1)
+        w, d = wiener_diameter_fold(n, range(n), _levels_to_parents(levels))
+        if d != 3:
+            raise InternalCheckFailed(f"D({n},{a}) as a level sequence has diameter {d}, not 3")
+        yield pairs * 3 - w, levels
+
+
 def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
     """(reverse Wiener index, spec) for every diameter-4 class on n vertices.
 
@@ -359,11 +380,11 @@ class _Buckets:
     """Keeps the k smallest distinct values, each with its first tie_cap items.
 
     A tie set holds items in arrival order; past ``tie_cap`` it is only
-    flagged truncated.  For :func:`rank_trees` the items are level
-    sequences, and :meth:`entries` builds trees and canonical codes for the
-    kept ones alone.  Given ``copy``, the buckets store ``copy(item)``, and
-    only for the items they keep: the level-sequence generator reuses its
-    list.
+    flagged truncated.  For :func:`rank_trees` and the diameter-3 classes
+    the items are level sequences, and :meth:`entries` builds trees and
+    canonical codes for the kept ones alone.  Given ``copy``, the buckets
+    store ``copy(item)``, and only for the items they keep: the
+    level-sequence generator reuses its list.
     """
 
     def __init__(self, k: int, tie_cap: int, copy=None) -> None:

@@ -163,15 +163,21 @@ def rooted_subtree_sizes(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
 
 
 def wiener_and_diameter(t: Tree) -> tuple[int, int]:
-    """(W, d) in one reverse pass over the BFS order from vertex 0.
+    """(W, d) in one reverse pass over the BFS order from vertex 0."""
+    order, parent = _bfs_order(t, 0)
+    return wiener_diameter_fold(t.n, order, parent)
 
-    Each vertex folds its subtree size s into its parent and adds the
-    edge-cut term s(n - s) to W; it also offers its height + 1 to the
-    parent's two largest child heights ``top1``, ``top2``.  d is the largest
+
+def wiener_diameter_fold(n: int, order, parent) -> tuple[int, int]:
+    """(W, d) of the tree given by ``parent``, folded over ``order`` reversed.
+
+    ``order`` lists all n vertices, from the root 0, each after its parent
+    (a BFS order, or ``range(n)`` for a level sequence).  Each
+    vertex folds its subtree size s into its parent and adds the edge-cut
+    term s(n - s) to W; it also offers its height + 1 to the parent's two
+    largest child heights ``top1``, ``top2``.  d is the largest
     top1 + top2 over all vertices.
     """
-    n = t.n
-    order, parent = _bfs_order(t, 0)
     size = [1] * n
     top1 = [0] * n
     top2 = [0] * n

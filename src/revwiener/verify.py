@@ -144,24 +144,19 @@ def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record
     return [_record(n, claimed.value, entry.value, attaining_codes(claimed), entry.trees)]
 
 
-def _min2_double_stars(n: int) -> list[tuple[int, list[Tree], bool]]:
-    """Exhaustive sweep over double stars: the two smallest values with tie sets."""
-    buckets = enumeration._Buckets(2, sys.maxsize)
-    for a in range(2, n // 2 + 1):
-        t = double_star(DoubleStarSpec(n=n, a=a))
-        buckets.add(reverse_wiener(t), t)
-    return buckets.ties()
-
-
 def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
-    minima = _min2_double_stars(n)
+    """f(n,3) and g(n,3) against the two smallest values over the double-star level sequences."""
+    buckets = enumeration._Buckets(2, sys.maxsize)
+    for lam, levels in enumeration._diam3_classes(n):
+        buckets.add(lam, levels)
+    minima = buckets.entries()
     records = [
         _record(
             n,
             closed_forms.f_n3(n),
-            minima[0][0],
+            minima[0].value,
             [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2)))],
-            [canonical_code(t) for t in minima[0][1]],
+            minima[0].trees,
             note="f(n,3)",
         )
     ]
@@ -170,9 +165,9 @@ def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
             _record(
                 n,
                 closed_forms.g_n3(n),
-                minima[1][0],
+                minima[1].value,
                 [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2 - 1)))],
-                [canonical_code(t) for t in minima[1][1]],
+                minima[1].trees,
                 note="g(n,3)",
             )
         )

@@ -257,6 +257,19 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("span", [["--n-to", "6"], ["--n-to", "99"], ["--n-from", "30"]])
+    def test_lemmas_lone_end_it_cannot_draw_is_usage(self, capsys, span):
+        # The missing end is filled in from 5..40, so the range checks still apply.
+        code, out, err = run(capsys, "verify", "lemmas", *span, "--trials", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_lemmas_lone_upper_end_sets_the_largest_n(self, capsys):
+        code, out, err = run(capsys, "verify", "lemmas", "--n-to", "20", "--trials", "5", "--format", "structured")
+        assert code == EXIT_OK and err == ""
+        notes = [r["note"] for r in json.loads(out)["records"]]
+        assert notes == [f"{lemma}: 5 random valid inputs, n <= 20" for lemma in ("lemma1", "lemma2", "lemma3", "lemma5")]
+
     @pytest.mark.parametrize("span", [["--n-from", "5", "--n-to", "40"], ["--n-from", "1", "--n-to", "12"]])
     def test_lemmas_range_it_can_draw(self, capsys, span):
         code, _, err = run(capsys, "verify", "lemmas", *span, "--trials", "5")
@@ -268,6 +281,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "lemmas", "--trials", trials)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [["prop-d3", "--n", "8"], ["lemmas", "--n-to", "20", "--trials", "5"]])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage(self, capsys, args, jobs):
+        code, out, err = run(capsys, "verify", *args, "--jobs", jobs)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(

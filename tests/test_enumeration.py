@@ -7,8 +7,10 @@ import pytest
 
 from revwiener import enumeration
 from revwiener.enumeration import (
+    _diam3_classes,
     _diam4_classes,
     _free_tree_metrics,
+    _levels_to_parents,
     _levels_to_tree,
     _min2_diam4_specs,
     free_tree_level_sequences,
@@ -20,10 +22,10 @@ from revwiener.enumeration import (
     rank_trees,
     second_min_lambda_diam,
 )
-from revwiener.errors import BoundExceeded, EmptyClass
-from revwiener.families import Diam4Spec, diam4, lambda_diam4_closed, star
+from revwiener.errors import BoundExceeded, EmptyClass, InternalCheckFailed
+from revwiener.families import Diam4Spec, DoubleStarSpec, diam4, double_star, lambda_diam4_closed, star
 from revwiener.invariants import metrics, reverse_wiener
-from revwiener.tree import canonical_code, diameter_and_centers
+from revwiener.tree import canonical_code, diameter_and_centers, wiener_diameter_fold
 
 # Number of free (unlabeled) trees on n = 1..12 vertices.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -91,6 +93,13 @@ class TestLevelsMetrics:
             wiener = n * (n - 1) * d // 2 - lam
             assert (wiener, d, lam) == _levels_metrics(levels) == (m.wiener, m.diameter, m.reverse_wiener)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fold_over_level_order_matches_reverse_pass(self, n):
+        # A level sequence is a preorder, so range(n) lists each vertex after its parent.
+        for levels, _, _ in _free_tree_metrics(n):
+            w, d = wiener_diameter_fold(n, range(n), _levels_to_parents(levels))
+            assert (w, d, n * (n - 1) * d // 2 - w) == _levels_metrics(levels), levels
+
     def test_sample_at_18(self):
         picked = set(random.Random(18).sample(range(123867), 300))
         seen = 0
@@ -100,6 +109,34 @@ class TestLevelsMetrics:
                 m = metrics(_levels_to_tree(levels))
                 assert (d, lam) == _levels_metrics(levels)[1:] == (m.diameter, m.reverse_wiener), index
         assert seen == len(picked)
+
+
+class TestDiam3Classes:
+    @pytest.mark.parametrize("n", range(4, 121))
+    def test_one_class_per_double_star(self, n):
+        classes = list(_diam3_classes(n))
+        assert len(classes) == n // 2 - 1
+        for a, (lam, levels) in zip(range(2, n // 2 + 1), classes):
+            t = double_star(DoubleStarSpec(n=n, a=a))
+            assert lam == reverse_wiener(t), a
+            assert canonical_code(_levels_to_tree(levels)) == canonical_code(t), a
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_same_classes_as_free_trees_of_diameter_3(self, n):
+        from_free = {
+            (lam, canonical_code(_levels_to_tree(levels)))
+            for levels, d, lam in _free_tree_metrics(n)
+            if d == 3
+        }
+        classes = [(lam, canonical_code(_levels_to_tree(levels))) for lam, levels in _diam3_classes(n)]
+        assert len(classes) == len(set(classes))
+        assert set(classes) == from_free
+
+    def test_wrong_diameter_raises(self, monkeypatch):
+        # The check must survive `python -O`, so it raises rather than asserts.
+        monkeypatch.setattr(enumeration, "wiener_diameter_fold", lambda n, order, parent: (0, 4))
+        with pytest.raises(InternalCheckFailed):
+            list(_diam3_classes(8))
 
 
 class TestLabeledTrees:

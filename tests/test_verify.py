@@ -2,6 +2,7 @@
 
 import pytest
 
+from revwiener import enumeration
 from revwiener.errors import BoundExceeded, DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
@@ -55,10 +56,24 @@ class TestCampaigns:
         assert report.all_match
 
     def test_prop_d3(self):
-        report = run_verification("prop-d3", 4, 20)
+        report = run_verification("prop-d3", 4, 200)
         assert report.all_match
         # Two records per n once the second minimum exists (n >= 6).
-        assert report.checked == 2 + 2 * 15
+        assert report.checked == 2 + 2 * 195
+
+    def test_prop_d3_builds_trees_only_for_kept_ties(self, monkeypatch):
+        built = []
+
+        def counted(levels):
+            built.append(len(levels))
+            return to_tree(levels)
+
+        to_tree = enumeration._levels_to_tree
+        monkeypatch.setattr(enumeration, "_levels_to_tree", counted)
+        report = run_verification("prop-d3", 4, 40)
+        assert report.all_match
+        # Each of f(n,3) and g(n,3) is attained by one double star.
+        assert built == [r.n for r in report.records]
 
     def test_prop_f4(self):
         report = run_verification("prop-f4", 5, 30)
