@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import closed_forms, enumeration, verify
-from .errors import BoundExceeded, InternalCheckFailed, RevWienerError, SpecParseError
+from .errors import BoundExceeded, InternalCheckFailed, RevWienerError, SpecParseError, UnusablePath
 from .families import build, diam4, parse_family_spec
 from .invariants import metrics
 from .tree import format_edge_list, parse_edge_list
@@ -42,18 +42,27 @@ def _tie_cap_from_env(k: int) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UnusablePath(f"cannot write {out}: {exc}") from exc
 
 
 def _read_tree(path: str):
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    # A directory, a missing file or bytes that are not UTF-8 are usage errors.
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnusablePath(f"cannot read {path}: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def cmd_stats(args) -> int:
@@ -330,7 +339,7 @@ def main(argv=None) -> int:
     except InternalCheckFailed as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RevWienerError, FileNotFoundError) as exc:
+    except RevWienerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

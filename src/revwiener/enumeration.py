@@ -6,10 +6,10 @@ first subtree no higher than the rest).  It rewrites one level sequence
 in place and reports the pivot, the first index it changed; over all
 trees only O(1) indices per tree are rewritten.  The W, d and reverse
 Wiener pass keeps its state at every index and resumes at the pivot, so
-a tree costs amortized O(1) plus O(height) to close the pass.  A slow,
-independent fallback builds each size class by attaching a leaf to every
-vertex of every smaller class representative and deduplicating by
-canonical code; the two routes are cross-validated in the test suite.
+a tree costs amortized O(1) plus O(height) to close the pass.  The test
+suite cross-validates it against slow, independent routes: Pruefer
+decoding of every labeled tree, and leaf attachment deduplicated by
+canonical code.
 
 The diameter-3 oracle yields each double star as a level sequence with
 its reverse Wiener index from one W/d fold; callers build trees only for
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .closed_forms import ExtremalResult
 from .errors import BoundExceeded, EmptyClass, InternalCheckFailed
 from .families import Diam4Spec
-from .tree import Tree, canonical_code, from_edge_list, from_pruefer, wiener_diameter_fold
+from .tree import Tree, canonical_code, from_edge_list, wiener_diameter_fold
 
 DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
@@ -250,28 +249,6 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None
         for levels, d, _ in _free_tree_metrics(n):
             if d == diameter:
                 yield _levels_to_tree(levels)
-
-
-def gen_labeled_trees(n: int) -> Iterator[Tree]:
-    """All labeled trees on n vertices, decoded from Pruefer sequences."""
-    for seq in product(range(n), repeat=max(n - 2, 0)):
-        yield from_pruefer(n, seq)
-
-
-def free_trees_by_extension(n: int) -> dict[str, Tree]:
-    """Slow fallback: grow classes by leaf attachment, dedup by canonical code.
-
-    Independent of the level-sequence generator; used for cross-validation.
-    """
-    classes: dict[str, Tree] = {canonical_code(from_edge_list(1, [])): from_edge_list(1, [])}
-    for m in range(2, n + 1):
-        grown: dict[str, Tree] = {}
-        for t in classes.values():
-            for v in range(t.n):
-                bigger = from_edge_list(m, list(t.edges) + [(v, m - 1)])
-                grown.setdefault(canonical_code(bigger), bigger)
-        classes = grown
-    return classes
 
 
 def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:

@@ -43,6 +43,10 @@ class SpecParseError(RevWienerError, ValueError):
     """Malformed family spec string."""
 
 
+class UnusablePath(RevWienerError):
+    """A file named on the command line cannot be read or written."""
+
+
 class PreconditionFailed(RevWienerError):
     """A transform was applied to a tree outside its domain."""
 

@@ -2,7 +2,10 @@
 
 Each transform returns the rewritten tree (or spec) together with the
 exact change in the reverse Wiener index, computed from the rewrite's own
-closed formula.  Tests recompute the change independently.
+closed formula.  Tests recompute the change independently.  No transform
+recomputes the diameter of its output: each rewrite's diameter change is
+part of its claim.  Lemma 2 at odd diameter and lemma 5 share one
+rewrite, the contraction of the center edge.
 
 When several vertices or subtrees qualify, the smallest label wins, so
 outputs are deterministic.
@@ -53,18 +56,36 @@ def lemma1_pendant_shift(t: Tree) -> tuple[Tree, int]:
     raise PreconditionFailed("no center has a pendant neighbor")
 
 
-def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
-    """Re-attach all grandchildren of a center to it, shrinking the diameter.
+def _contract_center_edge(t: Tree, u: int, v: int) -> tuple[Tree, int]:
+    """Merge the center v into the center u and re-attach label v as a pendant of u.
 
-    Requires diameter >= 4 and no center with a pendant neighbor.  The
-    Wiener index drops by exactly sum n_i(n - n_i) - p(n - 1), where p is
-    the center degree and n_i the center-subtree sizes.  The diameter
-    drops by exactly 2 when it is even (single center); when it is odd,
-    collapsing around one of the two centers can leave it at d - 1, so the
-    center realizing the full drop is preferred.  On trees where both
-    deepest branches sit inside a co-center subtree on each side, only
-    d - 1 is achievable; the returned delta always accounts for the
-    realized diameter, so it equals the true change in every case.
+    At odd diameter d the centers u and v are adjacent and every longest
+    path crosses the edge uv, so the output has diameter exactly d - 1.
+    With n1 and n2 the sides of uv, the Wiener index changes by
+    (n - 1) - n1 n2, so the reverse Wiener index drops by
+    n(n - 1)/2 - n1 n2 + (n - 1), which is always > 0.
+    """
+    n = t.n
+    # Rooted at u, v's subtree is v's side of the center edge.
+    _, size = rooted_subtree_sizes(t, u)
+    n1, n2 = n - size[v], size[v]
+    edges = [(u, v)]
+    for a, b in t.edges:
+        if (a, b) != (u, v):
+            edges.append((u if a == v else a, u if b == v else b))
+    return from_edge_list(n, edges), -(n * (n - 1) // 2 - n1 * n2 + (n - 1))
+
+
+def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
+    """Shrink the diameter around the center(s).
+
+    Requires diameter d >= 4 and no center with a pendant neighbor.  At
+    even d, all grandchildren of the single center v are re-attached to
+    it: the diameter drops by exactly 2 and the reverse Wiener index by
+    n(n - 1) - sum n_i(n - n_i) + p(n - 1), where p is the degree of v and
+    n_i the sizes of its subtrees.  At odd d, the center edge is
+    contracted as in :func:`lemma5_contract`: the diameter drops by
+    exactly 1.  The delta is negative in both cases.
     """
     n = t.n
     d, centers = diameter_and_centers(t)
@@ -72,25 +93,14 @@ def lemma2_collapse(t: Tree) -> tuple[Tree, int]:
         raise PreconditionFailed(f"diameter {d} < 4")
     if has_center_pendant(t, centers):
         raise PreconditionFailed("a center has a pendant neighbor")
-    candidates = []
-    for v in centers:
-        parent, size = rooted_subtree_sizes(t, v)
-        p = t.degree(v)
-        remove: set[tuple[int, int]] = set()
-        add: list[tuple[int, int]] = []
-        for vi in t.adj[v]:
-            for w in t.adj[vi]:
-                if parent[w] == vi:
-                    remove.add((vi, w))
-                    add.append((v, w))
-        out = _replace_edges(t, remove, add)
-        d_out, _ = diameter_and_centers(out)
-        wiener_drop = sum(size[vi] * (n - size[vi]) for vi in t.adj[v]) - p * (n - 1)
-        delta = n * (n - 1) * (d_out - d) // 2 + wiener_drop
-        if d_out == d - 2:
-            return out, delta
-        candidates.append((out, delta))
-    return candidates[0]
+    if d % 2:
+        return _contract_center_edge(t, *centers)
+    (v,) = centers
+    parent, size = rooted_subtree_sizes(t, v)
+    grandchildren = [(vi, w) for vi in t.adj[v] for w in t.adj[vi] if parent[w] == vi]
+    out = _replace_edges(t, set(grandchildren), [(v, w) for _, w in grandchildren])
+    delta = sum(size[vi] * (n - size[vi]) for vi in t.adj[v]) - t.degree(v) * (n - 1) - n * (n - 1)
+    return out, delta
 
 
 def lemma3_rebalance(spec: Diam4Spec, i: int, j: int) -> tuple[Diam4Spec, int]:
@@ -121,27 +131,9 @@ def lemma5_contract(t: Tree) -> tuple[Tree, int]:
     The output has diameter 4, a center pendant, and a strictly smaller
     reverse Wiener index.
     """
-    n = t.n
     d, centers = diameter_and_centers(t)
     if d != 5:
         raise PreconditionFailed(f"diameter {d} != 5")
     if has_center_pendant(t, centers):
         raise PreconditionFailed("a center has a pendant neighbor")
-    u, v = centers
-    # Rooted at u, v's subtree is v's side of the center edge.
-    _, size = rooted_subtree_sizes(t, u)
-    n1, n2 = n - size[v], size[v]
-    # Merge v into u, then reuse label v as the new pendant on u.
-    edges = [(u, v)]
-    for a, b in t.edges:
-        if (a, b) == (u, v):
-            continue
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        edges.append((a2, b2))
-    out = from_edge_list(n, edges)
-    half = n * (n - 1)
-    if half % 2:
-        raise InternalCheckFailed(f"n(n-1) = {half} should be even")
-    delta = -(half // 2 - n1 * n2 + (n - 1))
-    return out, delta
+    return _contract_center_edge(t, *centers)

@@ -219,8 +219,8 @@ def random_diam4_spec(rng: random.Random, max_n: int = 40, min_pendants: int = 0
 def random_lemma_input(rng: random.Random, lemma: str, max_n: int = 40):
     """A random input satisfying the given transform's precondition.
 
-    lemma1 and lemma2 give (tree, diameter), lemma3 (spec, (i, j)) and
-    lemma5 a tree.
+    lemma1, lemma2 and lemma5 give (tree, diameter), lemma3
+    (spec, (i, j)).
     """
     if lemma == "lemma1":
         # Rejection-sample general trees for diameter variety; fall back to
@@ -274,17 +274,26 @@ def random_lemma_input(rng: random.Random, lemma: str, max_n: int = 40):
             d, _ = diameter_and_centers(t)
             if d != 5:
                 raise InternalCheckFailed(f"two joined hubs gave diameter {d}, not 5")
-            return t
+            return t, d
     raise UnknownTheorem(f"unknown lemma {lemma!r}")
+
+
+_TREE_LEMMAS = {
+    "lemma1": transforms.lemma1_pendant_shift,
+    "lemma2": transforms.lemma2_collapse,
+    "lemma5": transforms.lemma5_contract,
+}
 
 
 def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> VerificationReport:
     """Apply each transform to random valid inputs and check its delta claim.
 
     For every trial, the formula delta must be strictly negative and equal
-    the independently recomputed reverse-Wiener difference.  Structural
-    claims (diameter preserved / reduced) are checked as well.  A lemma-3
-    input needs two spokes whose leaf counts differ by 2, so max_n >= 7.
+    the independently recomputed reverse-Wiener difference.  The output
+    diameter is checked exactly: lemma 1 keeps d, lemmas 2 and 5 give
+    d - 2 at even d and d - 1 at odd d, and lemma 5's output also has a
+    center pendant.  A lemma-3 input needs two spokes whose leaf counts
+    differ by 2, so max_n >= 7.
     """
     if trials < 1 or max_n < 7:
         raise DomainTooSmall(f"the lemma battery needs trials >= 1 and max_n >= 7, got {trials}, {max_n}")
@@ -294,35 +303,20 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
     for lemma in ("lemma1", "lemma2", "lemma3", "lemma5"):
         failures = 0
         for _ in range(trials):
-            if lemma == "lemma1":
-                t, d_in = random_lemma_input(rng, lemma, max_n)
-                out, delta = transforms.lemma1_pendant_shift(t)
-                d_out, _ = diameter_and_centers(out)
-                ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
-                ok = ok and d_out == d_in
-            elif lemma == "lemma2":
-                t, d_in = random_lemma_input(rng, lemma, max_n)
-                out, delta = transforms.lemma2_collapse(t)
-                d_out, _ = diameter_and_centers(out)
-                ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
-                # An even diameter always drops by exactly 2; an odd one may
-                # bottom out at d - 1 around both centers.
-                if d_in % 2 == 0:
-                    ok = ok and d_out == d_in - 2
-                else:
-                    ok = ok and d_out in (d_in - 2, d_in - 1)
-            elif lemma == "lemma3":
+            if lemma == "lemma3":
                 spec, (i, j) = random_lemma_input(rng, lemma, max_n)
                 out_spec, delta = transforms.lemma3_rebalance(spec, i, j)
                 gap = spec.parts[i][0] - spec.parts[j][0]
                 recomputed = reverse_wiener(diam4(out_spec)) - reverse_wiener(diam4(spec))
                 ok = delta < 0 and delta == recomputed and delta == -2 * (gap - 1)
             else:
-                t = random_lemma_input(rng, lemma, max_n)
-                out, delta = transforms.lemma5_contract(t)
+                t, d_in = random_lemma_input(rng, lemma, max_n)
+                out, delta = _TREE_LEMMAS[lemma](t)
                 d_out, centers_out = diameter_and_centers(out)
                 ok = delta < 0 and delta == reverse_wiener(out) - reverse_wiener(t)
-                ok = ok and d_out == 4 and has_center_pendant(out, centers_out)
+                ok = ok and d_out == (d_in if lemma == "lemma1" else d_in - 2 + d_in % 2)
+                if lemma == "lemma5":
+                    ok = ok and has_center_pendant(out, centers_out)
             if not ok:
                 failures += 1
         report.records.append(
@@ -374,9 +368,14 @@ def run_verification(
     trials: int = 1000,
     seed: int = 0,
 ) -> VerificationReport:
-    """Run one theorem-verification campaign over an n range."""
+    """Run one theorem-verification campaign over an n range.
+
+    Raises ``DomainTooSmall`` for ``jobs`` below 1 before any work starts.
+    """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    if jobs < 1:
+        raise DomainTooSmall(f"jobs must be at least 1, got {jobs}")
     if theorem == "lemmas":
         # The battery draws n from 5 up to n_to, and its diameter-4 inputs stop at 40.
         if n_from > 5 or n_to > 40:

@@ -8,7 +8,8 @@ Criteria covered, one test (or test pair) each:
   5. the f(n,4) branch formula and attaining table, n = 5..70;
   6. the g(n,4) branch formula, n = 6..70, with the documented omissions in
      the published attaining table pinned exactly;
-  7. the transform battery: 1000 random valid inputs per rewrite;
+  7. the transform battery: 1000 random valid inputs per rewrite, then
+     2000 at seed 0 (the CLI default);
   8. cross-validation of the two Wiener routes and the two generators;
   9. the inequality regime between the diameter-3 and diameter-4 forms
      up to n = 10^4.
@@ -26,11 +27,7 @@ from revwiener.closed_forms import (
     qr_decompose,
     second_smallest,
 )
-from revwiener.enumeration import (
-    free_trees_by_extension,
-    gen_free_trees,
-    gen_labeled_trees,
-)
+from revwiener.enumeration import gen_free_trees
 from revwiener.families import (
     DoubleStarSpec,
     build,
@@ -42,6 +39,7 @@ from revwiener.families import (
 from revwiener.invariants import reverse_wiener, wiener_bfs, wiener_edge_cut
 from revwiener.tree import canonical_code, from_pruefer
 from revwiener.verify import attaining_codes, run_lemma_battery
+from test_enumeration import free_trees_by_extension, gen_labeled_trees
 
 FREE_TREE_COUNTS_TO_12 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
@@ -139,9 +137,10 @@ def test_criterion_6_g_n4_against_the_oracle(diam4_minima):
 
 
 def test_criterion_7_transform_battery():
-    report = run_lemma_battery(trials=1000, max_n=40, seed=20260823)
-    assert report.checked == 4
-    assert report.all_match, [r.note for r in report.records if not r.match]
+    for trials, seed in ((1000, 20260823), (2000, 0)):
+        report = run_lemma_battery(trials=trials, max_n=40, seed=seed)
+        assert report.checked == 4
+        assert report.all_match, [r.note for r in report.records if not r.match]
 
 
 def test_criterion_8_oracle_cross_validation():

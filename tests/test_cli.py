@@ -61,6 +61,18 @@ class TestStats:
         code, _, err = run(capsys, "stats", "/no/such/file")
         assert code == EXIT_USAGE and "error:" in err
 
+    def test_directory_is_usage(self, capsys, tmp_path):
+        code, out, err = run(capsys, "stats", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}:") and err.count("\n") == 1
+
+    def test_non_utf8_file_is_usage(self, capsys, tmp_path):
+        binary = tmp_path / "tree.bin"
+        binary.write_bytes(b"\xff\xfe5\n0 1\n")
+        code, out, err = run(capsys, "stats", str(binary))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot read {binary}:") and err.count("\n") == 1
+
 
 class TestConstruct:
     def test_round_trip(self, capsys, tmp_path):
@@ -79,6 +91,11 @@ class TestConstruct:
         for spec in ("X(1)", "D(6,1)", "T(3)"):
             code, _, err = run(capsys, "construct", spec)
             assert code == EXIT_USAGE and "error:" in err
+
+    def test_out_directory_is_usage(self, capsys, tmp_path):
+        code, out, err = run(capsys, "construct", "D(6,3)", "--out", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}:") and err.count("\n") == 1
 
 
 class TestEnumerate:

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -14,10 +15,8 @@ from revwiener.enumeration import (
     _levels_to_tree,
     _min2_diam4_specs,
     free_tree_level_sequences,
-    free_trees_by_extension,
     gen_diam4_specs,
     gen_free_trees,
-    gen_labeled_trees,
     min_lambda_diam,
     rank_trees,
     second_min_lambda_diam,
@@ -25,7 +24,7 @@ from revwiener.enumeration import (
 from revwiener.errors import BoundExceeded, EmptyClass, InternalCheckFailed
 from revwiener.families import Diam4Spec, DoubleStarSpec, diam4, double_star, lambda_diam4_closed, star
 from revwiener.invariants import metrics, reverse_wiener
-from revwiener.tree import canonical_code, diameter_and_centers, wiener_diameter_fold
+from revwiener.tree import canonical_code, diameter_and_centers, from_edge_list, from_pruefer, wiener_diameter_fold
 
 # Number of free (unlabeled) trees on n = 1..12 vertices.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -487,3 +486,28 @@ def _levels_metrics(levels):
         elif a > top2[lvl]:
             top2[lvl] = a
     return w, d, n * (n - 1) * d // 2 - w
+
+
+# --- references: labeled trees by Pruefer decoding, and classes by leaf attachment ---
+
+
+def gen_labeled_trees(n):
+    """All labeled trees on n vertices, decoded from Pruefer sequences."""
+    for seq in product(range(n), repeat=max(n - 2, 0)):
+        yield from_pruefer(n, seq)
+
+
+def free_trees_by_extension(n):
+    """One tree per class on n vertices: grow classes by leaf attachment, dedup by canonical code.
+
+    Independent of the level-sequence generator; used for cross-validation.
+    """
+    classes = {canonical_code(from_edge_list(1, [])): from_edge_list(1, [])}
+    for m in range(2, n + 1):
+        grown = {}
+        for t in classes.values():
+            for v in range(t.n):
+                bigger = from_edge_list(m, list(t.edges) + [(v, m - 1)])
+                grown.setdefault(canonical_code(bigger), bigger)
+        classes = grown
+    return classes

@@ -3,6 +3,7 @@
 import contextlib
 import io
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +58,9 @@ def test_wiener_routes_and_one_pass_agree(case):
 
 
 # Generated argv stays small (n <= 12, at most 5 trials) so that no call runs
-# long; --jobs, --out and stdin are left out so that a call spawns and writes nothing.
+# long; --jobs and stdin are left out, and --out only names a directory, so
+# that a call spawns and writes nothing.  The tokens "<dir>" and "<non-utf8>"
+# stand for a temporary directory and a temporary file that is not UTF-8.
 small = st.integers(-1, 12).map(str)
 fmt = st.one_of(st.just([]), st.sampled_from(["human", "structured", "tabular"]).map(lambda f: ["--format", f]))
 
@@ -72,24 +75,35 @@ n_range = st.one_of(
     st.tuples(st.just("--n"), small),
     st.tuples(st.just("--n-from"), small, st.just("--n-to"), small),
 ).map(list)
+specs = st.sampled_from(["D(6,3)", "D(9,1)", "D(12,6)", "T(2^3)", "T(n0=1; 1^2, 3)", "T(", "X(2)", ""])
 theorems = st.sampled_from(["smallest", "second-smallest", "third-smallest", "prop-d3", "prop-f4", "prop-g4", "lemmas"])
 
 argv_strategy = st.one_of(
     _argv("rank", "--n", small, "--k", st.integers(-1, 5).map(str)),
     _argv("enumerate", "--n", small, st.sampled_from(["--diameter", "--max-n-free"]), small),
     _argv("closed-form", st.sampled_from(["f2", "f3", "g3", "f4", "g4", "second", "third", "f9"]), "--n", small),
-    _argv("construct", st.sampled_from(["D(6,3)", "D(9,1)", "D(12,6)", "T(2^3)", "T(n0=1; 1^2, 3)", "T(", "X(2)", ""])),
-    _argv("stats", "no-such-file.txt"),
+    _argv("construct", specs),
+    _argv("construct", specs, "--out", "<dir>"),
+    _argv("stats", st.sampled_from(["no-such-file.txt", "<dir>", "<non-utf8>"])),
     _argv("verify", theorems, n_range, "--trials", st.integers(-1, 5).map(str), "--seed", st.integers(0, 3).map(str))
     .map(lambda argv: [*argv[:2], *argv[2], *argv[3:]]),
     st.lists(st.sampled_from(["verify", "rank", "lemmas", "--n", "--k", "3", "-1", "x", "--help"]), max_size=5),
 )
 
 
+@pytest.fixture(scope="module")
+def unusable_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("unusable")
+    binary = root / "tree.bin"
+    binary.write_bytes(b"\xff\xfe5\n0 1\n")
+    return {"<dir>": str(root), "<non-utf8>": str(binary)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(argv_strategy)
-def test_cli_returns_a_documented_exit_code(argv):
+def test_cli_returns_a_documented_exit_code(unusable_paths, argv):
     # Exit 4 marks an internal error, which is a bug, so only 0..3 may occur.
+    argv = [unusable_paths.get(token, token) for token in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from revwiener.enumeration import gen_free_trees
 from revwiener.errors import PreconditionFailed
 from revwiener.families import Diam4Spec, diam4, path, star
 from revwiener.invariants import reverse_wiener
@@ -11,7 +12,7 @@ from revwiener.transforms import (
     lemma3_rebalance,
     lemma5_contract,
 )
-from revwiener.tree import diameter_and_centers, from_edge_list
+from revwiener.tree import diameter_and_centers, from_edge_list, has_center_pendant
 
 
 class TestPendantShift:
@@ -55,8 +56,8 @@ class TestCollapse:
         assert delta == reverse_wiener(out) - reverse_wiener(t) < 0
 
     def test_odd_diameter_prefers_the_full_drop(self):
-        # Around one center the collapse leaves diameter 6; around the
-        # other it reaches 5, and that center must win.
+        # Collapsing one center's grandchildren would reach diameter 5 here,
+        # but at odd d the center-edge contraction drops d by exactly 1.
         edges = [
             (3, 12), (4, 5), (7, 12), (2, 8), (2, 4), (4, 10), (9, 11),
             (1, 9), (6, 12), (6, 10), (0, 10), (0, 1), (1, 13),
@@ -64,8 +65,8 @@ class TestCollapse:
         t = from_edge_list(14, edges)
         assert diameter_and_centers(t)[0] == 7
         out, delta = lemma2_collapse(t)
-        assert diameter_and_centers(out)[0] == 5
-        assert delta == reverse_wiener(out) - reverse_wiener(t) < 0
+        assert diameter_and_centers(out)[0] == 6
+        assert delta == reverse_wiener(out) - reverse_wiener(t) == -59
 
     def test_odd_diameter_may_only_drop_by_one(self):
         # Both centers carry two deepest branches inside the co-center
@@ -82,7 +83,8 @@ class TestCollapse:
         assert delta == reverse_wiener(out) - reverse_wiener(t) < 0
 
     # Drawn by random_lemma_input(random.Random(1898), "lemma2"): diameter 7,
-    # and collapsing around either center only reaches diameter 6.
+    # and collapsing either center's grandchildren only reaches diameter 6
+    # with Λ up by 29, so it pins the center-edge contraction.
     COUNTEREXAMPLE = [
         (0, 20), (1, 20), (4, 13), (5, 10), (8, 23), (10, 21), (2, 11), (2, 3),
         (9, 12), (3, 13), (6, 15), (14, 16), (7, 14), (7, 22), (9, 19), (6, 9),
@@ -94,12 +96,8 @@ class TestCollapse:
         assert diameter_and_centers(t)[0] == 7
         out, delta = lemma2_collapse(t)
         assert diameter_and_centers(out)[0] == 6
-        assert delta == reverse_wiener(out) - reverse_wiener(t) == 29
+        assert delta == reverse_wiener(out) - reverse_wiener(t) == -164
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="lemma2_collapse raises Λ on some odd-diameter trees that only reach d - 1 (here d 7 -> 6, +29)",
-    )
     def test_counterexample_decreases(self):
         _, delta = lemma2_collapse(from_edge_list(24, self.COUNTEREXAMPLE))
         assert delta < 0
@@ -166,3 +164,38 @@ class TestContract:
         assert diameter_and_centers(t)[0] == 5
         with pytest.raises(PreconditionFailed):
             lemma5_contract(t)
+
+
+class TestEveryFreeTree:
+    def test_lemmas_1_2_5_on_every_qualifying_tree_to_16(self):
+        # Each output's diameter is exact: lemma 1 keeps d, lemmas 2 and 5
+        # give d - 2 at even d and d - 1 at odd d.
+        inputs = {lemma1_pendant_shift: 0, lemma2_collapse: 0, lemma5_contract: 0}
+        for n in range(5, 17):
+            for t in gen_free_trees(n):
+                d, centers = diameter_and_centers(t)
+                if d < 4:
+                    continue
+                if has_center_pendant(t, centers):
+                    cases = [(lemma1_pendant_shift, d)]
+                else:
+                    cases = [(lemma2_collapse, d - 2 + d % 2)] + ([(lemma5_contract, 4)] if d == 5 else [])
+                lam = reverse_wiener(t)
+                for transform, d_expected in cases:
+                    out, delta = transform(t)
+                    d_out, centers_out = diameter_and_centers(out)
+                    assert delta < 0 and delta == reverse_wiener(out) - lam, (transform.__name__, t.edges)
+                    assert d_out == d_expected, (transform.__name__, t.edges)
+                    if transform is lemma5_contract:
+                        assert has_center_pendant(out, centers_out)
+                    inputs[transform] += 1
+        assert list(inputs.values()) == [16887, 15556, 320]
+
+    def test_lemma2_is_lemma5_at_diameter_5(self):
+        checked = 0
+        for n in range(6, 17):
+            for t in gen_free_trees(n, diameter=5):
+                if not has_center_pendant(t, diameter_and_centers(t)[1]):
+                    assert lemma2_collapse(t) == lemma5_contract(t)
+                    checked += 1
+        assert checked == 320

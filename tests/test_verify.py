@@ -2,7 +2,7 @@
 
 import pytest
 
-from revwiener import enumeration
+from revwiener import enumeration, verify
 from revwiener.errors import BoundExceeded, DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
@@ -95,6 +95,18 @@ class TestCampaigns:
         serial = run_verification("prop-d3", 4, 14, jobs=1)
         parallel = run_verification("prop-d3", 4, 14, jobs=2)
         assert serial.records == parallel.records
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_rejected_before_any_work(self, monkeypatch, theorem, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(verify, "_worker", no_work)
+        monkeypatch.setattr(verify, "run_lemma_battery", no_work)
+        with pytest.raises(DomainTooSmall) as exc:
+            run_verification(theorem, 5, 8, jobs=jobs)
+        assert str(exc.value) == f"jobs must be at least 1, got {jobs}"
 
 
 class TestLemmaBattery:
