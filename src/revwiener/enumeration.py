@@ -12,8 +12,9 @@ decoding of every labeled tree, and leaf attachment deduplicated by
 canonical code.
 
 The diameter-3 oracle yields each double star as a level sequence with
-its reverse Wiener index from one W/d fold; callers build trees only for
-the values they keep.
+its reverse Wiener index from a W/d fold over the sequence's four runs of
+equal levels, in O(1) per class; callers build trees only for the values
+they keep.
 
 The diameter-4 oracle walks the classes as integer partitions in one
 generator frame: one run of equal parts per level of an explicit stack,
@@ -33,7 +34,7 @@ from typing import Iterator
 from .closed_forms import ExtremalResult
 from .errors import BoundExceeded, EmptyClass, InternalCheckFailed
 from .families import Diam4Spec
-from .tree import Tree, canonical_code, from_edge_list, wiener_diameter_fold
+from .tree import Tree, canonical_code, from_edge_list
 
 DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
@@ -251,21 +252,58 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None
                 yield _levels_to_tree(levels)
 
 
+def _runs_fold(n: int, runs) -> tuple[int, int]:
+    """(W, d) of the tree whose level sequence is given as runs of (level, count).
+
+    The fold of tree.wiener_diameter_fold, taken one run at a time over the
+    runs reversed.  Per level, ``size``, ``top1`` and ``top2`` hold the
+    closed vertices still waiting for their parent: their total size and
+    their two largest heights + 1.  The last vertex of a run closes the
+    children waiting one level below it.  Every other vertex of the run is
+    a leaf of the same parent, so the c - 1 leaves add (c - 1)(n - 1) to W
+    and c - 1 to the parent's size, and offer it height 1.  The last vertex
+    has already offered at least 1, so a leaf can only raise ``top2``, and
+    one offer does what c - 1 would.  The fold costs O(len(runs)).
+    """
+    depth = max(level for level, _ in runs) + 2
+    size = [0] * depth
+    top1 = [0] * depth
+    top2 = [0] * depth
+    w = d = 0
+    for level, c in runs[:0:-1]:
+        below = level + 1
+        s = size[below] + 1
+        a, b = top1[below], top2[below]
+        size[below] = top1[below] = top2[below] = 0
+        if a + b > d:
+            d = a + b
+        w += s * (n - s) + (c - 1) * (n - 1)
+        size[level] += s + c - 1
+        a += 1
+        if a > top1[level]:
+            top2[level] = top1[level]
+            top1[level] = a
+        elif a > top2[level]:
+            top2[level] = a
+        if c > 1 and not top2[level]:
+            top2[level] = 1
+    return w, max(d, top1[1] + top2[1])
+
+
 def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:
     """(reverse Wiener index, level sequence) for every diameter-3 class on n vertices.
 
     The classes are the double stars D(n,a), 2 <= a <= n/2, each rooted at
     the hub of its larger star: the root, the other hub with its a - 1
-    leaves, then the root's n - a - 1 leaves.  W and d come from the
-    reverse fold of tree.wiener_diameter_fold over the sequence.
+    leaves, then the root's n - a - 1 leaves.  W and d come from
+    _runs_fold over the sequence's four runs, in O(1) per class.
     """
     pairs = n * (n - 1) // 2
     for a in range(2, n // 2 + 1):
-        levels = [0, 1] + [2] * (a - 1) + [1] * (n - a - 1)
-        w, d = wiener_diameter_fold(n, range(n), _levels_to_parents(levels))
+        w, d = _runs_fold(n, ((0, 1), (1, 1), (2, a - 1), (1, n - a - 1)))
         if d != 3:
             raise InternalCheckFailed(f"D({n},{a}) as a level sequence has diameter {d}, not 3")
-        yield pairs * 3 - w, levels
+        yield pairs * 3 - w, [0, 1] + [2] * (a - 1) + [1] * (n - a - 1)
 
 
 def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:

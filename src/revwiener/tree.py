@@ -3,6 +3,11 @@
 Vertices are dense integers in [0, n).  Trees are immutable after
 construction, so every function here is pure and safe to share across
 threads.
+
+A built tree keeps the BFS from vertex 0 that validated it.  Only
+``wiener_and_diameter`` and the first sweep of ``diameter_and_centers``
+read it; the other functions run their own searches, so the routes that
+``invariants`` cross-checks stay independent.
 """
 
 from __future__ import annotations
@@ -24,11 +29,16 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Tree:
-    """An n-vertex labeled tree.  Build via :func:`from_edge_list`."""
+    """An n-vertex labeled tree.  Build via :func:`from_edge_list`.
+
+    ``bfs`` is the BFS order from vertex 0 and the parent array (-1 at the
+    root) of the search that validated the edge list.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    bfs: tuple[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -39,41 +49,60 @@ def from_edge_list(n: int, edges) -> Tree:
 
     Raises one of the tree-validation errors if the edge list has the
     wrong size, contains a self-loop or a duplicate, uses a label outside
-    [0, n), or does not connect all vertices.
+    [0, n), or does not connect all vertices.  Of several faults, the one
+    at the earliest edge is reported.
+
+    One loop checks labels and loops and builds the adjacency; a BFS from
+    vertex 0 then checks connectivity, and the tree keeps its order and
+    parents.  Duplicates are looked for only on the way to an error: n - 1
+    edges with a duplicate cannot reach all n vertices.
     """
     if n < 1:
         raise LabelOutOfRange(f"vertex count must be positive, got {n}")
     edges = [(int(u), int(v)) for u, v in edges]
     if len(edges) != n - 1:
         raise WrongEdgeCount(f"expected {n - 1} edges for n={n}, got {len(edges)}")
-    seen: set[Edge] = set()
     normalized: list[Edge] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
+            _raise_first_duplicate(normalized)
             raise LabelOutOfRange(f"edge ({u}, {v}) out of range [0, {n})")
         if u == v:
+            _raise_first_duplicate(normalized)
             raise SelfLoop(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}")
-        seen.add(e)
-        normalized.append(e)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in normalized:
+        normalized.append((u, v) if u < v else (v, u))
         adj[u].append(v)
         adj[v].append(u)
     # n-1 edges + connected <=> tree; check connectivity by BFS from 0.
+    parent = [-1] * n
     visited = bytearray(n)
     visited[0] = 1
-    reached = [0]
-    for u in reached:  # grows while iterating: BFS order
+    order = [0]
+    for u in order:  # grows while iterating: BFS order
         for w in adj[u]:
             if not visited[w]:
                 visited[w] = 1
-                reached.append(w)
-    if len(reached) != n:
-        raise Disconnected(f"edge set reaches {len(reached)} of {n} vertices")
-    return Tree(n=n, edges=tuple(normalized), adj=tuple(tuple(a) for a in adj))
+                parent[w] = u
+                order.append(w)
+    if len(order) != n:
+        _raise_first_duplicate(normalized)
+        raise Disconnected(f"edge set reaches {len(order)} of {n} vertices")
+    return Tree(
+        n=n,
+        edges=tuple(normalized),
+        adj=tuple(tuple(a) for a in adj),
+        bfs=(tuple(order), tuple(parent)),
+    )
+
+
+def _raise_first_duplicate(edges: list[Edge]) -> None:
+    """Raise DuplicateEdge at the first normalized edge that repeats an earlier one."""
+    seen: set[Edge] = set()
+    for e in edges:
+        if e in seen:
+            raise DuplicateEdge(f"duplicate edge {e}")
+        seen.add(e)
 
 
 def from_pruefer(n: int, seq) -> Tree:
@@ -134,12 +163,13 @@ def diameter_and_centers(t: Tree) -> tuple[int, list[int]]:
     """Diameter and the 1 or 2 centers (middle of a longest path).
 
     Double sweep: the last vertex of a BFS order is a farthest vertex u,
-    and the last vertex of a BFS from u ends a longest path.  Every longest
-    path has the same middle, so the centers do not depend on which one is
-    found.  A tree has one center iff its diameter is even; two (adjacent)
-    centers otherwise.
+    and the last vertex of a BFS from u ends a longest path.  The first
+    sweep is the BFS from vertex 0 that the tree keeps from validation.
+    Every longest path has the same middle, so the centers do not depend
+    on which one is found.  A tree has one center iff its diameter is
+    even; two (adjacent) centers otherwise.
     """
-    u = _bfs_order(t, 0)[0][-1]
+    u = t.bfs[0][-1]
     order, parent = _bfs_order(t, u)
     path = [order[-1]]
     while path[-1] != u:
@@ -163,8 +193,8 @@ def rooted_subtree_sizes(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
 
 
 def wiener_and_diameter(t: Tree) -> tuple[int, int]:
-    """(W, d) in one reverse pass over the BFS order from vertex 0."""
-    order, parent = _bfs_order(t, 0)
+    """(W, d) in one reverse pass over the BFS order from vertex 0 that the tree keeps."""
+    order, parent = t.bfs
     return wiener_diameter_fold(t.n, order, parent)
 
 

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from revwiener.enumeration import (
     _levels_to_parents,
     _levels_to_tree,
     _min2_diam4_specs,
+    _runs_fold,
     free_tree_level_sequences,
     gen_diam4_specs,
     gen_free_trees,
@@ -131,9 +132,23 @@ class TestDiam3Classes:
         assert len(classes) == len(set(classes))
         assert set(classes) == from_free
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_runs_fold_matches_vertex_fold_on_free_trees(self, n):
+        for levels, _, _ in _free_tree_metrics(n):
+            runs = [(level, len(list(group))) for level, group in groupby(levels)]
+            assert _runs_fold(n, runs) == wiener_diameter_fold(n, range(n), _levels_to_parents(levels)), levels
+
+    def test_runs_fold_matches_vertex_fold_on_double_stars(self):
+        for n in range(4, 201):
+            for lam, levels in _diam3_classes(n):
+                runs = [(level, len(list(group))) for level, group in groupby(levels)]
+                w, d = wiener_diameter_fold(n, range(n), _levels_to_parents(levels))
+                assert _runs_fold(n, runs) == (w, d) and d == 3, levels
+                assert lam == n * (n - 1) * 3 // 2 - w, levels
+
     def test_wrong_diameter_raises(self, monkeypatch):
         # The check must survive `python -O`, so it raises rather than asserts.
-        monkeypatch.setattr(enumeration, "wiener_diameter_fold", lambda n, order, parent: (0, 4))
+        monkeypatch.setattr(enumeration, "_runs_fold", lambda n, runs: (0, 4))
         with pytest.raises(InternalCheckFailed):
             list(_diam3_classes(8))
 

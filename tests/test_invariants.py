@@ -1,6 +1,7 @@
 """Wiener and reverse-Wiener invariants against textbook values and each other."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -81,3 +82,15 @@ class TestOnePass:
     def test_reverse_wiener_matches_metrics(self, sample_trees):
         for t in sample_trees:
             assert reverse_wiener(t) == metrics(t).reverse_wiener, t.edges
+
+    def test_only_the_one_pass_reads_the_stored_bfs(self):
+        # A star's BFS stored on a path.  It still ends at vertex 5, a
+        # farthest vertex from 0, so the first sweep of metrics' double
+        # sweep lands where a fresh BFS would; every other search is its own.
+        t = path(6)
+        wrong = replace(t, bfs=(tuple(range(6)), (-1, 0, 0, 0, 0, 0)))
+        assert reverse_wiener(t) == 40
+        assert reverse_wiener(wrong) == 5
+        assert wiener_edge_cut(wrong) == wiener_edge_cut(t) == 35
+        assert wiener_bfs(wrong) == wiener_bfs(t) == 35
+        assert metrics(wrong) == metrics(t)

@@ -51,3 +51,36 @@ def test_cli_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Every run pays for module-load imports in its set-up time, so a new one
+# must be a deliberate change to this set.
+MODULE_LOAD_IMPORTS = {
+    "__future__", "argparse", "dataclasses", "heapq", "json", "math",
+    "os", "random", "re", "sys", "time", "typing",
+}
+
+
+def _load_time_imports(node):
+    """Import statements that run when the module loads: all but those in function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _load_time_imports(child)
+
+
+def test_no_new_module_load_import():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in _load_time_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a module of the package itself
+            for name in names:
+                found.setdefault(name.split(".")[0], path.name)
+    extra = {name: where for name, where in found.items() if name not in MODULE_LOAD_IMPORTS}
+    assert not extra, f"module-load imports outside the allowed set: {extra}"

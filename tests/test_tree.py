@@ -1,5 +1,9 @@
 """Tree construction, validation, distances, centers, subtree sizes, canonical codes."""
 
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from revwiener.errors import (
@@ -8,15 +12,19 @@ from revwiener.errors import (
     EdgeListParseError,
     LabelOutOfRange,
     SelfLoop,
+    TreeValidationError,
     WrongEdgeCount,
 )
-from revwiener.families import path, star
+from revwiener.enumeration import gen_diam4_specs
+from revwiener.families import DoubleStarSpec, diam4, double_star, path, star
 from revwiener.tree import (
+    _bfs_order,
     bfs_distances,
     canonical_code,
     diameter_and_centers,
     format_edge_list,
     from_edge_list,
+    from_pruefer,
     parse_edge_list,
     rooted_subtree_sizes,
 )
@@ -60,6 +68,137 @@ class TestFromEdgeList:
         t = star(5)
         assert t.degree(0) == 4
         assert all(t.degree(v) == 1 for v in range(1, 5))
+
+    def test_duplicate_before_later_out_of_range(self):
+        with pytest.raises(DuplicateEdge):
+            from_edge_list(4, [(0, 1), (1, 0), (2, 5)])
+
+    def test_duplicate_before_later_self_loop(self):
+        with pytest.raises(DuplicateEdge):
+            from_edge_list(4, [(0, 1), (1, 0), (2, 2)])
+
+    def test_out_of_range_before_duplicate(self):
+        with pytest.raises(LabelOutOfRange):
+            from_edge_list(4, [(0, 9), (0, 1), (1, 0)])
+
+
+def _reference_from_edge_list(n, edges):
+    """from_edge_list as it was before trees kept their BFS: (edges, adj), or the error it raises.
+
+    Every edge passes a range check, a loop check and a duplicate check in
+    turn, then the adjacency is built and a BFS from 0 checks connectivity.
+    """
+    if n < 1:
+        raise LabelOutOfRange(f"vertex count must be positive, got {n}")
+    edges = [(int(u), int(v)) for u, v in edges]
+    if len(edges) != n - 1:
+        raise WrongEdgeCount(f"expected {n - 1} edges for n={n}, got {len(edges)}")
+    seen = set()
+    normalized = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise LabelOutOfRange(f"edge ({u}, {v}) out of range [0, {n})")
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DuplicateEdge(f"duplicate edge {e}")
+        seen.add(e)
+        normalized.append(e)
+    adj = [[] for _ in range(n)]
+    for u, v in normalized:
+        adj[u].append(v)
+        adj[v].append(u)
+    visited = bytearray(n)
+    visited[0] = 1
+    reached = [0]
+    for u in reached:
+        for w in adj[u]:
+            if not visited[w]:
+                visited[w] = 1
+                reached.append(w)
+    if len(reached) != n:
+        raise Disconnected(f"edge set reaches {len(reached)} of {n} vertices")
+    return tuple(normalized), tuple(tuple(a) for a in adj)
+
+
+def _random_edge_list(rng):
+    """A small edge list: a shuffled tree with up to two faults put in, or random pairs."""
+    n = rng.randint(0, 7)
+    if n >= 2 and rng.random() < 0.6:
+        tree = from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges]
+        rng.shuffle(edges)
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            fault = rng.randrange(5)
+            i = rng.randrange(len(edges))
+            if fault == 0:
+                u, v = edges[rng.randrange(len(edges))]
+                edges[i] = (v, u) if rng.random() < 0.5 else (u, v)  # a duplicate
+            elif fault == 1:
+                v = rng.randrange(n)
+                edges[i] = (v, v)
+            elif fault == 2:
+                edges[i] = (rng.choice((-1, n, n + 3)), rng.randrange(n))
+            elif fault == 3:
+                edges[i] = tuple(rng.sample(range(n), 2))  # another tree, or a cycle
+            else:
+                edges.insert(i, (rng.randrange(n), rng.randrange(n)))
+        return n, edges
+    m = max(n - 1 + rng.choice((-1, 0, 0, 0, 1)), 0)
+    labels = [rng.randrange(n) if rng.random() < 0.97 else rng.choice((-1, n)) for _ in range(2 * m)]
+    return n, list(zip(labels[::2], labels[1::2]))
+
+
+def _built(n, edges):
+    t = from_edge_list(n, edges)
+    return t.edges, t.adj
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except TreeValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_validation_matches_reference():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(20000):
+        n, edges = _random_edge_list(rng)
+        expected = _outcome(_reference_from_edge_list, n, edges)
+        assert _outcome(_built, n, edges) == expected, (n, edges)
+        kinds[expected[0] if isinstance(expected[0], type) else "tree"] += 1
+    # Valid lists and every kind of fault occur often.
+    assert set(kinds) == {"tree", WrongEdgeCount, LabelOutOfRange, SelfLoop, DuplicateEdge, Disconnected}
+    assert min(kinds.values()) >= 200, kinds
+
+
+class TestStoredBfs:
+    """A built tree keeps the BFS from vertex 0 that validated it."""
+
+    @staticmethod
+    def _assert_fresh(t):
+        order, parent = _bfs_order(t, 0)
+        assert t.bfs == (tuple(order), tuple(parent)), t.edges  # tuples: a list never equals one
+
+    def test_family_trees(self):
+        for n in range(1, 30):
+            self._assert_fresh(star(n))
+            self._assert_fresh(path(n))
+            for a in range(2, n // 2 + 1):
+                self._assert_fresh(double_star(DoubleStarSpec(n=n, a=a)))
+        for n in range(5, 13):
+            for spec in gen_diam4_specs(n):
+                self._assert_fresh(diam4(spec))
+
+    def test_pruefer_trees(self, sample_trees):
+        for n in range(1, 8):
+            for seq in product(range(n), repeat=max(n - 2, 0)):
+                self._assert_fresh(from_pruefer(n, seq))
+        for t in sample_trees:
+            self._assert_fresh(t)
 
 
 class TestDistancesAndCenters:
