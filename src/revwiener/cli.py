@@ -94,19 +94,12 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _require_positive(**values: int) -> None:
-    for name, value in values.items():
-        if value < 1:
-            raise SpecParseError(f"--{name} must be at least 1, got {value}")
-
-
 def _tree_line(t) -> str:
     return " ".join(f"{u}-{v}" for u, v in t.edges)
 
 
 def cmd_enumerate(args) -> int:
     n = args.n
-    _require_positive(n=n)
     if args.diameter == 4 and n > args.max_n_free:
         trees = (diam4(s) for s in enumeration.gen_diam4_specs(n))
     else:
@@ -127,7 +120,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _require_positive(n=args.n, k=args.k)
     entries = enumeration.rank_trees(
         args.n, args.k, max_n=args.max_n_free, tie_cap=_tie_cap_from_env(args.k)
     )
@@ -224,7 +216,6 @@ def _report_human(report: verify.VerificationReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    _require_positive(jobs=args.jobs)
     if args.n is not None:
         n_from = n_to = args.n
     elif args.n_from is not None and args.n_to is not None:
@@ -235,17 +226,6 @@ def cmd_verify(args) -> int:
         n_to = 40 if args.n_to is None else args.n_to
     else:
         raise SpecParseError("verify needs --n or both --n-from and --n-to")
-    if args.theorem == "lemmas":
-        _require_positive(trials=args.trials)
-        if n_to < 7:
-            raise SpecParseError(f"lemmas needs --n or --n-to of at least 7, got {n_to}")
-        # The battery draws n from 5 up to n_to, and its diameter-4 inputs stop at 40.
-        if n_from > 5 or n_to > 40:
-            raise SpecParseError(f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}")
-    else:
-        _require_positive(**{"n" if args.n is not None else "n-from": n_from})
-        if n_from > n_to:
-            raise SpecParseError(f"empty n range {n_from}..{n_to}: nothing to verify")
     report = verify.run_verification(
         args.theorem,
         n_from,

@@ -195,27 +195,31 @@ def g_n4(n: int) -> ExtremalResult:
     return ExtremalResult(rank="class-2nd-min(4)", value=value, attaining=attaining, notes=notes)
 
 
+def _overall(n: int, rank: str, d3_value, a: int, d4_form, tie: int) -> ExtremalResult:
+    """The overall second or third smallest for n >= 4: diameter 3 to n = 56, diameter 4 from 58.
+
+    At n = 57 the diameter-3 value ``d3_value(57)`` and the diameter-4
+    value of ``d4_form(57)`` coincide at ``tie``, so the tie set spans both
+    classes: D(57, a) and the diameter-4 trees.
+    """
+    if n <= 56:
+        return ExtremalResult(rank=rank, value=d3_value(n), attaining=(DoubleStarSpec(n=n, a=a),))
+    d4 = d4_form(n)
+    if n == 57:
+        if not d4.value == d3_value(57) == tie:
+            raise InternalCheckFailed(
+                f"{rank} at n = 57: diameter 4 gives {d4.value}, diameter 3 {d3_value(57)}; both should be {tie}"
+            )
+        attaining = (DoubleStarSpec(n=57, a=a),) + d4.attaining
+        return ExtremalResult(rank=rank, value=tie, attaining=attaining, notes=d4.notes)
+    return ExtremalResult(rank=rank, value=d4.value, attaining=d4.attaining, notes=d4.notes)
+
+
 def second_smallest(n: int) -> ExtremalResult:
     """Second-smallest reverse Wiener index over all n-vertex trees."""
     if n < 4:
         raise DomainTooSmall(f"second smallest needs n >= 4, got {n}")
-    if n <= 56:
-        return ExtremalResult(
-            rank="overall-2nd",
-            value=f_n3(n),
-            attaining=(DoubleStarSpec(n=n, a=n // 2),),
-        )
-    if n == 57:
-        d4 = f_n4(57)
-        if not d4.value == f_n3(57) == 896:
-            raise InternalCheckFailed(f"f(57,4) = {d4.value}, f(57,3) = {f_n3(57)}; both should be 896")
-        return ExtremalResult(
-            rank="overall-2nd",
-            value=896,
-            attaining=(DoubleStarSpec(n=57, a=28),) + d4.attaining,
-        )
-    d4 = f_n4(n)
-    return ExtremalResult(rank="overall-2nd", value=d4.value, attaining=d4.attaining, notes=d4.notes)
+    return _overall(n, "overall-2nd", f_n3, n // 2, f_n4, 896)
 
 
 def third_smallest(n: int) -> ExtremalResult:
@@ -225,23 +229,4 @@ def third_smallest(n: int) -> ExtremalResult:
     if n == 5:
         # P_5 is the only diameter-4 tree on 5 vertices.
         return ExtremalResult(rank="overall-3rd", value=20, attaining=(normalize(0, [(1, 2)]),))
-    if n <= 56:
-        return ExtremalResult(
-            rank="overall-3rd",
-            value=g_n3(n),
-            attaining=(DoubleStarSpec(n=n, a=n // 2 - 1),),
-        )
-    if n == 57:
-        # g(57,3) = g(57,4) = 898: the diameter-3 and diameter-4 second
-        # minima coincide, so the tie set spans both classes.
-        d4 = g_n4(57)
-        if not d4.value == g_n3(57) == 898:
-            raise InternalCheckFailed(f"g(57,4) = {d4.value}, g(57,3) = {g_n3(57)}; both should be 898")
-        return ExtremalResult(
-            rank="overall-3rd",
-            value=898,
-            attaining=(DoubleStarSpec(n=57, a=27),) + d4.attaining,
-            notes=d4.notes,
-        )
-    d4 = g_n4(n)
-    return ExtremalResult(rank="overall-3rd", value=d4.value, attaining=d4.attaining, notes=d4.notes)
+    return _overall(n, "overall-3rd", g_n3, n // 2 - 1, g_n4, 898)

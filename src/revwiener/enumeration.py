@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .closed_forms import ExtremalResult
-from .errors import BoundExceeded, EmptyClass, InternalCheckFailed
+from .errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
 from .families import Diam4Spec
 from .tree import Tree, canonical_code, from_edge_list
 
@@ -169,8 +169,8 @@ def _levels_to_tree(levels: list[int]) -> Tree:
     return from_edge_list(len(levels), [(parent[i], i) for i in range(1, len(levels))])
 
 
-def _free_tree_metrics(n: int) -> Iterator[tuple[list[int], int, int]]:
-    """(levels, diameter, reverse_wiener) for every free tree on n vertices.
+def _free_tree_metrics(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[tuple[list[int], int, int]]:
+    """(levels, diameter, reverse_wiener) for every free tree on n vertices, 1 <= n <= max_n.
 
     One forward pass per tree, resumed at the generator's pivot.  Before
     index i the vertices not yet closed are the one at index i - 1 and its
@@ -183,6 +183,10 @@ def _free_tree_metrics(n: int) -> Iterator[tuple[list[int], int, int]]:
     a tree costs the indices from its pivot on plus closing the stack,
     which is O(height).
     """
+    if n < 1:
+        raise DomainTooSmall(f"n must be at least 1, got {n}")
+    if n > max_n:
+        raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
@@ -239,17 +243,9 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None
     Given ``diameter``, only the classes of that diameter: the metrics pass
     reads d off each level sequence, and only the kept trees are built.
     """
-    if n < 1:
-        raise BoundExceeded(f"n must be positive, got {n}")
-    if n > max_n:
-        raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
-    if diameter is None:
-        for levels, _ in free_tree_level_sequences(n):
+    for levels, d, _ in _free_tree_metrics(n, max_n):
+        if diameter is None or d == diameter:
             yield _levels_to_tree(levels)
-    else:
-        for levels, d, _ in _free_tree_metrics(n):
-            if d == diameter:
-                yield _levels_to_tree(levels)
 
 
 def _runs_fold(n: int, runs) -> tuple[int, int]:
@@ -375,6 +371,8 @@ def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
     classes.  The stream runs n0 ascending, then the partitions in reverse
     lexicographic order, as _diam4_classes walks them.
     """
+    if n < 1:
+        raise DomainTooSmall(f"n must be at least 1, got {n}")
     for _, spec in _diam4_classes(n):
         yield spec
 
@@ -446,12 +444,10 @@ def rank_trees(
     tie_cap: int = DEFAULT_TIE_CAP,
 ) -> list[RankEntry]:
     """The k smallest distinct reverse-Wiener values over all free trees on n vertices."""
-    if n < 1:
-        raise BoundExceeded(f"n must be positive, got {n}")
-    if n > max_n:
-        raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
+    if k < 1:
+        raise DomainTooSmall(f"k must be at least 1, got {k}")
     buckets = _Buckets(k, tie_cap, copy=list)
-    for levels, _, lam in _free_tree_metrics(n):
+    for levels, _, lam in _free_tree_metrics(n, max_n):
         buckets.add(lam, levels)
     return buckets.entries()
 
@@ -500,10 +496,8 @@ def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> ExtremalResult:
         value, specs, truncated = minima[index]
         notes = ("tie set truncated",) if truncated else ()
         return ExtremalResult(rank=rank, value=value, attaining=tuple(specs), notes=notes)
-    if n > max_n_free:
-        raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n_free}")
     buckets = _Buckets(2, sys.maxsize, copy=list)
-    for levels, diam, lam in _free_tree_metrics(n):
+    for levels, diam, lam in _free_tree_metrics(n, max_n_free):
         if diam == d:
             buckets.add(lam, levels)
     entries = buckets.entries()

@@ -52,7 +52,12 @@ class PreconditionFailed(RevWienerError):
 
 
 class DomainTooSmall(RevWienerError, ValueError):
-    """A closed form was evaluated below its minimum vertex count."""
+    """An argument outside the values its function accepts.
+
+    Below the smallest accepted value, an empty range, or past a limit that
+    no option raises.  A resource bound that an option raises is
+    BoundExceeded instead.
+    """
 
 
 class BoundExceeded(RevWienerError):

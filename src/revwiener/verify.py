@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import closed_forms, enumeration, transforms
-from .errors import BoundExceeded, DomainTooSmall, InternalCheckFailed, UnknownTheorem
+from .errors import DomainTooSmall, InternalCheckFailed, UnknownTheorem
 from .families import Diam4Spec, DoubleStarSpec, build, diam4, double_star, star
 from .invariants import reverse_wiener
 from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer, has_center_pendant
@@ -150,28 +150,20 @@ def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
     for lam, levels in enumeration._diam3_classes(n):
         buckets.add(lam, levels)
     minima = buckets.entries()
-    records = [
+    claims = [(closed_forms.f_n3, n // 2, "f(n,3)"), (closed_forms.g_n3, n // 2 - 1, "g(n,3)")]
+    # The closed form is evaluated first, so an n below its domain raises
+    # DomainTooSmall before the (then too short) minima are indexed.
+    return [
         _record(
             n,
-            closed_forms.f_n3(n),
-            minima[0].value,
-            [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2)))],
-            minima[0].trees,
-            note="f(n,3)",
+            closed_form(n),
+            minima[i].value,
+            [canonical_code(double_star(DoubleStarSpec(n=n, a=a)))],
+            minima[i].trees,
+            note=note,
         )
+        for i, (closed_form, a, note) in enumerate(claims[: 2 if n >= 6 else 1])
     ]
-    if n >= 6:
-        records.append(
-            _record(
-                n,
-                closed_forms.g_n3(n),
-                minima[1].value,
-                [canonical_code(double_star(DoubleStarSpec(n=n, a=n // 2 - 1)))],
-                minima[1].trees,
-                note="g(n,3)",
-            )
-        )
-    return records
 
 
 def _records_diam4(n: int, bounds: dict, closed_form, oracle, mismatch_note: str = "") -> list[Record]:
@@ -295,8 +287,10 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
     center pendant.  A lemma-3 input needs two spokes whose leaf counts
     differ by 2, so max_n >= 7.
     """
-    if trials < 1 or max_n < 7:
-        raise DomainTooSmall(f"the lemma battery needs trials >= 1 and max_n >= 7, got {trials}, {max_n}")
+    if trials < 1:
+        raise DomainTooSmall(f"the lemma battery needs at least 1 trial, got {trials}")
+    if max_n < 7:
+        raise DomainTooSmall(f"the lemma battery draws n up to at least 7, got an upper end of {max_n}")
     start = time.monotonic()
     report = VerificationReport(theorem="lemmas")
     rng = random.Random(seed)
@@ -370,7 +364,12 @@ def run_verification(
 ) -> VerificationReport:
     """Run one theorem-verification campaign over an n range.
 
-    Raises ``DomainTooSmall`` for ``jobs`` below 1 before any work starts.
+    The argument rules are checked before any work starts, so a campaign
+    that checks nothing never passes: ``DomainTooSmall`` for ``jobs`` below
+    1, for ``lemmas`` a range the battery cannot draw (and, from the
+    battery, ``trials`` below 1 or ``n_to`` below 7), and for every other
+    theorem ``n_from`` below 1 or an empty range.  The oracles check their
+    resource bounds per n and raise ``BoundExceeded``.
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
@@ -379,8 +378,12 @@ def run_verification(
     if theorem == "lemmas":
         # The battery draws n from 5 up to n_to, and its diameter-4 inputs stop at 40.
         if n_from > 5 or n_to > 40:
-            raise BoundExceeded(f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}")
+            raise DomainTooSmall(f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}")
         return run_lemma_battery(trials=trials, max_n=n_to, seed=seed)
+    if n_from < 1:
+        raise DomainTooSmall(f"n must be at least 1, got {n_from}")
+    if n_from > n_to:
+        raise DomainTooSmall(f"empty n range {n_from}..{n_to}: nothing to verify")
     start = time.monotonic()
     bounds = {"max_n_free": max_n_free, "max_n_diam4": max_n_diam4}
     ns = list(range(n_from, n_to + 1))

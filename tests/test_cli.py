@@ -6,6 +6,9 @@ import json
 import pytest
 
 from revwiener.cli import EXIT_BOUND, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from revwiener.enumeration import gen_diam4_specs, gen_free_trees, rank_trees
+from revwiener.errors import DomainTooSmall
+from revwiener.verify import run_verification
 
 
 def run(capsys, *argv):
@@ -246,7 +249,7 @@ class TestVerify:
         # A usage error, as for rank --n 0; not the bound error of the free-tree oracle.
         code, out, err = run(capsys, "verify", theorem, *span)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: --n") and "at least 1" in err
+        assert err == f"error: n must be at least 1, got {span[1]}\n"
 
     @pytest.mark.parametrize(
         "span",
@@ -304,7 +307,7 @@ class TestVerify:
     def test_jobs_below_one_is_usage(self, capsys, args, jobs):
         code, out, err = run(capsys, "verify", *args, "--jobs", jobs)
         assert code == EXIT_USAGE and out == ""
-        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(
@@ -312,6 +315,32 @@ class TestVerify:
             "--jobs", "2",
         )
         assert code == EXIT_OK
+
+
+# Bad argv and the library call it comes down to.  Each rule lives in the
+# library alone, so the CLI's message must be the library's word for word.
+ARGUMENT_RULES = [
+    (["enumerate", "--n", "0"], lambda: list(gen_free_trees(0))),
+    (["enumerate", "--n", "0", "--diameter", "4", "--max-n-free", "-1"], lambda: list(gen_diam4_specs(0))),
+    (["rank", "--n", "0", "--k", "3"], lambda: rank_trees(0, 3)),
+    (["rank", "--n", "5", "--k", "0"], lambda: rank_trees(5, 0)),
+    (["verify", "prop-d3", "--n", "8", "--jobs", "0"], lambda: run_verification("prop-d3", 8, 8, jobs=0)),
+    (["verify", "smallest", "--n", "0"], lambda: run_verification("smallest", 0, 0)),
+    (["verify", "prop-f4", "--n-from", "10", "--n-to", "5"], lambda: run_verification("prop-f4", 10, 5)),
+    (["verify", "lemmas", "--trials", "0"], lambda: run_verification("lemmas", 5, 40, trials=0)),
+    (["verify", "lemmas", "--n", "6"], lambda: run_verification("lemmas", 6, 6)),
+    (["verify", "lemmas", "--n-to", "41"], lambda: run_verification("lemmas", 5, 41)),
+    (["verify", "lemmas", "--n-to", "6"], lambda: run_verification("lemmas", 5, 6)),
+]
+
+
+@pytest.mark.parametrize("argv, call", ARGUMENT_RULES, ids=[" ".join(argv) for argv, _ in ARGUMENT_RULES])
+def test_argument_rules_come_from_the_library(capsys, argv, call):
+    with pytest.raises(DomainTooSmall) as exc:
+        call()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {exc.value}\n"
 
 
 class TestInternalError:

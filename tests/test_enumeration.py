@@ -22,7 +22,7 @@ from revwiener.enumeration import (
     rank_trees,
     second_min_lambda_diam,
 )
-from revwiener.errors import BoundExceeded, EmptyClass, InternalCheckFailed
+from revwiener.errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
 from revwiener.families import Diam4Spec, DoubleStarSpec, diam4, double_star, lambda_diam4_closed, star
 from revwiener.invariants import metrics, reverse_wiener
 from revwiener.tree import canonical_code, diameter_and_centers, from_edge_list, from_pruefer, wiener_diameter_fold
@@ -62,8 +62,12 @@ class TestFreeTrees:
         assert sum(1 for _ in gen_free_trees(16)) == 19320
 
     def test_nonpositive_n(self):
-        with pytest.raises(BoundExceeded):
-            list(gen_free_trees(0))
+        for diameter in (None, 3):
+            with pytest.raises(DomainTooSmall, match=r"^n must be at least 1, got 0$"):
+                list(gen_free_trees(0, diameter=diameter))
+            # The lower end is checked before the bound, so a bound below n does not hide it.
+            with pytest.raises(DomainTooSmall):
+                list(gen_free_trees(-1, max_n=-5, diameter=diameter))
 
 
 class TestLevelSequences:
@@ -184,7 +188,14 @@ class TestDiam4Specs:
         assert all(s.n == n for s in specs)
 
     def test_empty_below_5(self):
-        assert list(gen_diam4_specs(4)) == []
+        for n in range(1, 5):
+            assert list(gen_diam4_specs(n)) == []
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n(self, n):
+        with pytest.raises(DomainTooSmall) as exc:
+            list(gen_diam4_specs(n))
+        assert str(exc.value) == f"n must be at least 1, got {n}"
 
     @pytest.mark.parametrize("n", range(5, 25))
     def test_same_order_as_part_by_part_walk(self, n):
@@ -337,6 +348,19 @@ class TestRankTrees:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             rank_trees(25, 2)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (5, 0, "k must be at least 1, got 0"),
+        (5, -1, "k must be at least 1, got -1"),
+        # k is checked before n, so a bound error does not hide it.
+        (25, 0, "k must be at least 1, got 0"),
+        (0, 3, "n must be at least 1, got 0"),
+        (-2, 3, "n must be at least 1, got -2"),
+    ])
+    def test_nonpositive_n_or_k(self, n, k, message):
+        with pytest.raises(DomainTooSmall) as exc:
+            rank_trees(n, k)
+        assert str(exc.value) == message
 
 
 class TestVisitCount:

@@ -58,9 +58,10 @@ def test_wiener_routes_and_one_pass_agree(case):
 
 
 # Generated argv stays small (n <= 12, at most 5 trials) so that no call runs
-# long; --jobs and stdin are left out, and --out only names a directory, so
-# that a call spawns and writes nothing.  The tokens "<dir>" and "<non-utf8>"
-# stand for a temporary directory and a temporary file that is not UTF-8.
+# long; --jobs stays at 1 or below and stdin is left out, and --out only names
+# a directory, so that a call spawns and writes nothing.  The tokens "<dir>"
+# and "<non-utf8>" stand for a temporary directory and a temporary file that
+# is not UTF-8.
 small = st.integers(-1, 12).map(str)
 fmt = st.one_of(st.just([]), st.sampled_from(["human", "structured", "tabular"]).map(lambda f: ["--format", f]))
 
@@ -85,8 +86,10 @@ argv_strategy = st.one_of(
     _argv("construct", specs),
     _argv("construct", specs, "--out", "<dir>"),
     _argv("stats", st.sampled_from(["no-such-file.txt", "<dir>", "<non-utf8>"])),
-    _argv("verify", theorems, n_range, "--trials", st.integers(-1, 5).map(str), "--seed", st.integers(0, 3).map(str))
-    .map(lambda argv: [*argv[:2], *argv[2], *argv[3:]]),
+    _argv(
+        "verify", theorems, n_range, "--trials", st.integers(-1, 5).map(str), "--seed", st.integers(0, 3).map(str),
+        "--jobs", st.sampled_from(["-1", "0", "1"]),
+    ).map(lambda argv: [*argv[:2], *argv[2], *argv[3:]]),
     st.lists(st.sampled_from(["verify", "rank", "lemmas", "--n", "--k", "3", "-1", "x", "--help"]), max_size=5),
 )
 
@@ -107,3 +110,6 @@ def test_cli_returns_a_documented_exit_code(unusable_paths, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
+    # n <= 12 is within every default bound, so exit 3 needs a lowered --max-n-free;
+    # an argument fault must end in exit 2, not pass for a bound.
+    assert code != 3 or "--max-n-free" in argv

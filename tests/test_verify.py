@@ -3,7 +3,7 @@
 import pytest
 
 from revwiener import enumeration, verify
-from revwiener.errors import BoundExceeded, DomainTooSmall, UnknownTheorem
+from revwiener.errors import DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
     THEOREM_IDS,
@@ -61,6 +61,12 @@ class TestCampaigns:
         # Two records per n once the second minimum exists (n >= 6).
         assert report.checked == 2 + 2 * 195
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_prop_d3_below_its_domain_is_rejected(self, n):
+        # No double star has fewer than 4 vertices; a report with no records must not pass.
+        with pytest.raises(DomainTooSmall):
+            run_verification("prop-d3", n, n)
+
     def test_prop_d3_builds_trees_only_for_kept_ties(self, monkeypatch):
         built = []
 
@@ -109,6 +115,27 @@ class TestCampaigns:
         assert str(exc.value) == f"jobs must be at least 1, got {jobs}"
 
 
+    @pytest.mark.parametrize(
+        "theorem, n_from, n_to, message",
+        [
+            ("smallest", 10, 5, "empty n range 10..5: nothing to verify"),
+            ("prop-f4", 9, 8, "empty n range 9..8: nothing to verify"),
+            ("prop-d3", 0, 3, "n must be at least 1, got 0"),
+            ("third-smallest", -2, 5, "n must be at least 1, got -2"),
+            ("second-smallest", 0, 30, "n must be at least 1, got 0"),
+        ],
+    )
+    def test_range_that_checks_nothing_is_rejected_before_any_work(self, monkeypatch, theorem, n_from, n_to, message):
+        # A campaign that checks nothing must not pass.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(verify, "_worker", no_work)
+        with pytest.raises(DomainTooSmall) as exc:
+            run_verification(theorem, n_from, n_to)
+        assert str(exc.value) == message
+
+
 class TestLemmaBattery:
     def test_small_battery_passes(self):
         report = run_lemma_battery(trials=40, max_n=25, seed=3)
@@ -128,7 +155,7 @@ class TestLemmaBattery:
     @pytest.mark.parametrize("n_from, n_to", [(30, 60), (6, 40), (5, 41), (7, 7)])
     def test_range_it_cannot_draw_is_rejected(self, n_from, n_to):
         # The battery draws n from 5 up, and its diameter-4 inputs stop at n = 40.
-        with pytest.raises(BoundExceeded) as exc:
+        with pytest.raises(DomainTooSmall) as exc:
             run_verification("lemmas", n_from, n_to, trials=5, seed=1)
         assert str(exc.value) == f"lemmas draws n from 5 up to at most 40 and cannot cover {n_from}..{n_to}"
 
