@@ -41,7 +41,6 @@ class ExtremalResult:
     spec that failed validation instead of dropping it silently.
     """
 
-    rank: str
     value: int
     attaining: tuple[DoubleStarSpec | Diam4Spec | str, ...]
     notes: tuple[str, ...] = field(default=())
@@ -110,7 +109,7 @@ def f_n4(n: int) -> ExtremalResult:
     else:  # r = q+2 .. 2q+1
         raw = [(0, [(q - 1, 2 * (q + 1) - r), (q, r - q - 1)])]
     attaining, notes = _normalize_all(n, raw)
-    return ExtremalResult(rank="class-min(4)", value=value, attaining=attaining, notes=notes)
+    return ExtremalResult(value=value, attaining=attaining, notes=notes)
 
 
 def g_n4_value(n: int) -> int:
@@ -192,7 +191,7 @@ def g_n4(n: int) -> ExtremalResult:
     value = g_n4_value(n)
     qr = qr_decompose(n)
     attaining, notes = _normalize_all(n, _g_n4_raw_specs(qr.q, qr.r))
-    return ExtremalResult(rank="class-2nd-min(4)", value=value, attaining=attaining, notes=notes)
+    return ExtremalResult(value=value, attaining=attaining, notes=notes)
 
 
 def _overall(n: int, rank: str, d3_value, a: int, d4_form, tie: int) -> ExtremalResult:
@@ -203,7 +202,7 @@ def _overall(n: int, rank: str, d3_value, a: int, d4_form, tie: int) -> Extremal
     classes: D(57, a) and the diameter-4 trees.
     """
     if n <= 56:
-        return ExtremalResult(rank=rank, value=d3_value(n), attaining=(DoubleStarSpec(n=n, a=a),))
+        return ExtremalResult(value=d3_value(n), attaining=(DoubleStarSpec(n=n, a=a),))
     d4 = d4_form(n)
     if n == 57:
         if not d4.value == d3_value(57) == tie:
@@ -211,8 +210,8 @@ def _overall(n: int, rank: str, d3_value, a: int, d4_form, tie: int) -> Extremal
                 f"{rank} at n = 57: diameter 4 gives {d4.value}, diameter 3 {d3_value(57)}; both should be {tie}"
             )
         attaining = (DoubleStarSpec(n=57, a=a),) + d4.attaining
-        return ExtremalResult(rank=rank, value=tie, attaining=attaining, notes=d4.notes)
-    return ExtremalResult(rank=rank, value=d4.value, attaining=d4.attaining, notes=d4.notes)
+        return ExtremalResult(value=tie, attaining=attaining, notes=d4.notes)
+    return ExtremalResult(value=d4.value, attaining=d4.attaining, notes=d4.notes)
 
 
 def second_smallest(n: int) -> ExtremalResult:
@@ -228,5 +227,5 @@ def third_smallest(n: int) -> ExtremalResult:
         raise DomainTooSmall(f"third smallest needs n >= 5, got {n}")
     if n == 5:
         # P_5 is the only diameter-4 tree on 5 vertices.
-        return ExtremalResult(rank="overall-3rd", value=20, attaining=(normalize(0, [(1, 2)]),))
+        return ExtremalResult(value=20, attaining=(normalize(0, [(1, 2)]),))
     return _overall(n, "overall-3rd", g_n3, n // 2 - 1, g_n4, 898)

@@ -31,14 +31,19 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .closed_forms import ExtremalResult
 from .errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
-from .families import Diam4Spec
+from .families import Diam4Spec, diam4
 from .tree import Tree, canonical_code, from_edge_list
 
 DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
 DEFAULT_TIE_CAP = 64
+
+
+def check_bound(n: int, bound: int, oracle: str) -> None:
+    """Raise BoundExceeded if n is past an oracle's resource bound."""
+    if n > bound:
+        raise BoundExceeded(f"n={n} exceeds {oracle} bound {bound}")
 
 
 # --- level-sequence machinery -------------------------------------------------
@@ -185,8 +190,7 @@ def _free_tree_metrics(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[tupl
     """
     if n < 1:
         raise DomainTooSmall(f"n must be at least 1, got {n}")
-    if n > max_n:
-        raise BoundExceeded(f"n={n} exceeds free-tree bound {max_n}")
+    check_bound(n, max_n, "free-tree")
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
@@ -393,11 +397,9 @@ class _Buckets:
     """Keeps the k smallest distinct values, each with its first tie_cap items.
 
     A tie set holds items in arrival order; past ``tie_cap`` it is only
-    flagged truncated.  For :func:`rank_trees` and the diameter-3 classes
-    the items are level sequences, and :meth:`entries` builds trees and
-    canonical codes for the kept ones alone.  Given ``copy``, the buckets
-    store ``copy(item)``, and only for the items they keep: the
-    level-sequence generator reuses its list.
+    flagged truncated.  Given ``copy``, the buckets store ``copy(item)``,
+    and only for the items they keep: the level-sequence generator reuses
+    its list.
     """
 
     def __init__(self, k: int, tie_cap: int, copy=None) -> None:
@@ -405,35 +407,37 @@ class _Buckets:
         self.tie_cap = tie_cap
         self.copy = copy
         self.data: dict[int, list] = {}  # value -> [items, truncated]
-        self.threshold: int | None = None  # largest kept value, once k are kept
 
-    def add(self, value: int, item) -> None:
-        entry = self.data.get(value)
-        if entry is None:
-            if self.threshold is not None and value > self.threshold:
-                return
-            entry = self.data[value] = [[], False]
-            if len(self.data) > self.k:
-                del self.data[max(self.data)]
-            if len(self.data) == self.k:
-                self.threshold = max(self.data)
-        if len(entry[0]) < self.tie_cap:
-            entry[0].append(item if self.copy is None else self.copy(item))
-        else:
-            entry[1] = True
+    def fill(self, pairs) -> _Buckets:
+        """Add every (value, item) pair; a value above the largest of k kept ones is skipped at once."""
+        data, k, tie_cap, copy = self.data, self.k, self.tie_cap, self.copy
+        threshold = max(data) if len(data) == k else None
+        for value, item in pairs:
+            if threshold is not None and value > threshold:
+                continue
+            entry = data.get(value)
+            if entry is None:
+                entry = data[value] = [[], False]
+                if len(data) > k:
+                    del data[max(data)]
+                if len(data) == k:
+                    threshold = max(data)
+            if len(entry[0]) < tie_cap:
+                entry[0].append(item if copy is None else copy(item))
+            else:
+                entry[1] = True
+        return self
 
-    def ties(self) -> list[tuple[int, list, bool]]:
-        """(value, items in arrival order, truncated), by increasing value."""
-        return [(v, items, truncated) for v, (items, truncated) in sorted(self.data.items())]
+    def entries(self, tree_of=None, first: int = 0) -> list[RankEntry]:
+        """One RankEntry per kept value from rank ``first`` on, by increasing value.
 
-    def entries(self) -> list[RankEntry]:
+        ``tree_of`` builds each kept item's tree for its canonical code;
+        the default reads items as level sequences.
+        """
+        tree_of = tree_of or _levels_to_tree
         return [
-            RankEntry(
-                value=v,
-                trees=tuple(sorted(canonical_code(_levels_to_tree(levels)) for levels in ties)),
-                truncated=truncated,
-            )
-            for v, ties, truncated in self.ties()
+            RankEntry(value, tuple(sorted(canonical_code(tree_of(item)) for item in items)), truncated)
+            for value, (items, truncated) in sorted(self.data.items())[first:]
         ]
 
 
@@ -446,21 +450,8 @@ def rank_trees(
     """The k smallest distinct reverse-Wiener values over all free trees on n vertices."""
     if k < 1:
         raise DomainTooSmall(f"k must be at least 1, got {k}")
-    buckets = _Buckets(k, tie_cap, copy=list)
-    for levels, _, lam in _free_tree_metrics(n, max_n):
-        buckets.add(lam, levels)
-    return buckets.entries()
-
-
-def _min2_diam4_specs(n: int, tie_cap: int = DEFAULT_TIE_CAP) -> list[tuple[int, list[Diam4Spec], bool]]:
-    """Two smallest reverse-Wiener values over diameter-4 classes, with spec ties."""
-    buckets = _Buckets(2, tie_cap)
-    threshold = None  # buckets.threshold, read again after each add
-    for lam, spec in _diam4_classes(n):
-        if threshold is None or lam <= threshold:
-            buckets.add(lam, spec)
-            threshold = buckets.threshold
-    return buckets.ties()
+    pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n))
+    return _Buckets(k, tie_cap, copy=list).fill(pairs).entries()
 
 
 def min_lambda_diam(
@@ -468,7 +459,7 @@ def min_lambda_diam(
     d: int,
     max_n_free: int = DEFAULT_MAX_N_FREE,
     max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
-) -> ExtremalResult:
+) -> RankEntry:
     """Exhaustive minimum of the reverse Wiener index over n-vertex trees of diameter d."""
     return _extremum_diam(n, d, 0, max_n_free, max_n_diam4)
 
@@ -478,30 +469,29 @@ def second_min_lambda_diam(
     d: int,
     max_n_free: int = DEFAULT_MAX_N_FREE,
     max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
-) -> ExtremalResult:
+) -> RankEntry:
     """Exhaustive second-smallest value over n-vertex trees of diameter d."""
     return _extremum_diam(n, d, 1, max_n_free, max_n_diam4)
 
 
-def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> ExtremalResult:
+def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> RankEntry:
+    """The (index + 1)-th smallest value at diameter d, with codes for its ties alone.
+
+    The double stars serve d = 3 at any n, the partition walk d = 4 up
+    to ``max_n_diam4``, and the free-tree walk filtered on d the rest.
+    """
     if not 2 <= d <= n - 1:
         raise EmptyClass(f"no tree on {n} vertices has diameter {d}")
-    rank = f"class-min({d})" if index == 0 else f"class-2nd-min({d})"
-    if d == 4:
-        if n > max_n_diam4:
-            raise BoundExceeded(f"n={n} exceeds diameter-4 bound {max_n_diam4}")
-        minima = _min2_diam4_specs(n)
-        if len(minima) <= index:
-            raise EmptyClass(f"fewer than {index + 1} distinct values at (n={n}, d=4)")
-        value, specs, truncated = minima[index]
-        notes = ("tie set truncated",) if truncated else ()
-        return ExtremalResult(rank=rank, value=value, attaining=tuple(specs), notes=notes)
-    buckets = _Buckets(2, sys.maxsize, copy=list)
-    for levels, diam, lam in _free_tree_metrics(n, max_n_free):
-        if diam == d:
-            buckets.add(lam, levels)
-    entries = buckets.entries()
-    if len(entries) <= index:
+    tree_of = copy = None
+    if d == 3:
+        pairs = _diam3_classes(n)
+    elif d == 4:
+        check_bound(n, max_n_diam4, "diameter-4")
+        pairs, tree_of = _diam4_classes(n), diam4
+    else:
+        pairs = ((lam, levels) for levels, diam, lam in _free_tree_metrics(n, max_n_free) if diam == d)
+        copy = list
+    buckets = _Buckets(index + 1, DEFAULT_TIE_CAP, copy).fill(pairs)
+    if len(buckets.data) <= index:
         raise EmptyClass(f"fewer than {index + 1} distinct values at (n={n}, d={d})")
-    # Attaining trees are carried as canonical codes on this route.
-    return ExtremalResult(rank=rank, value=entries[index].value, attaining=entries[index].trees, notes=())
+    return buckets.entries(tree_of, first=index)[0]

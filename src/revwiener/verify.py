@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import closed_forms, enumeration, transforms
 from .errors import DomainTooSmall, InternalCheckFailed, UnknownTheorem
-from .families import Diam4Spec, DoubleStarSpec, build, diam4, double_star, star
+from .families import Diam4Spec, DoubleStarSpec, build, diam4, star
 from .invariants import reverse_wiener
 from .tree import Tree, canonical_code, diameter_and_centers, from_edge_list, from_pruefer, has_center_pendant
 
@@ -110,18 +110,24 @@ def describe_attaining(result: closed_forms.ExtremalResult) -> tuple[str, ...]:
     return tuple(sorted(str(item) for item in result.attaining))
 
 
-def _record(n, claimed_value, oracle_value, claimed_codes, oracle_codes, note="") -> Record:
-    claimed = tuple(sorted(set(claimed_codes)))
-    oracle = tuple(sorted(set(oracle_codes)))
-    match = claimed_value == oracle_value and claimed == oracle
-    if not match and claimed_value == oracle_value and not note:
-        note = "value matches; attaining sets differ"
+def _record(n: int, claim, entry, note: str = "", mismatch_note: str = "") -> Record:
+    """A claim's value and attaining set (an ExtremalResult) against the oracle's RankEntry.
+
+    When the values agree but the sets differ, ``note`` (by default a
+    plain statement of that) is followed by ``mismatch_note``.
+    """
+    claimed = attaining_codes(claim)
+    match = claim.value == entry.value and claimed == entry.trees
+    if not match and claim.value == entry.value:
+        note = note or "value matches; attaining sets differ"
+        if mismatch_note:
+            note = f"{note}; {mismatch_note}"
     return Record(
         n=n,
-        claimed_value=claimed_value,
-        oracle_value=oracle_value,
+        claimed_value=claim.value,
+        oracle_value=entry.value,
         claimed_set=claimed,
-        oracle_set=oracle,
+        oracle_set=entry.trees,
         match=match,
         note=note,
     )
@@ -133,33 +139,26 @@ def _record(n, claimed_value, oracle_value, claimed_codes, oracle_codes, note=""
 def _star_claim(n: int) -> closed_forms.ExtremalResult:
     """The smallest value: the star's, computed on the built tree."""
     s = star(n)
-    return closed_forms.ExtremalResult(rank="overall-1st", value=reverse_wiener(s), attaining=(canonical_code(s),))
+    return closed_forms.ExtremalResult(value=reverse_wiener(s), attaining=(canonical_code(s),))
 
 
 def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record]:
     """The closed form's overall rank-th smallest value against the free-tree ranking."""
     entries = enumeration.rank_trees(n, rank, max_n=bounds["max_n_free"])
-    claimed = closed_form(n)
-    entry = entries[rank - 1]
-    return [_record(n, claimed.value, entry.value, attaining_codes(claimed), entry.trees)]
+    return [_record(n, closed_form(n), entries[rank - 1])]
 
 
 def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
     """f(n,3) and g(n,3) against the two smallest values over the double-star level sequences."""
-    buckets = enumeration._Buckets(2, sys.maxsize)
-    for lam, levels in enumeration._diam3_classes(n):
-        buckets.add(lam, levels)
-    minima = buckets.entries()
+    minima = enumeration._Buckets(2, sys.maxsize).fill(enumeration._diam3_classes(n)).entries()
     claims = [(closed_forms.f_n3, n // 2, "f(n,3)"), (closed_forms.g_n3, n // 2 - 1, "g(n,3)")]
     # The closed form is evaluated first, so an n below its domain raises
     # DomainTooSmall before the (then too short) minima are indexed.
     return [
         _record(
             n,
-            closed_form(n),
-            minima[i].value,
-            [canonical_code(double_star(DoubleStarSpec(n=n, a=a)))],
-            minima[i].trees,
+            closed_forms.ExtremalResult(value=closed_form(n), attaining=(DoubleStarSpec(n=n, a=a),)),
+            minima[i],
             note=note,
         )
         for i, (closed_form, a, note) in enumerate(claims[: 2 if n >= 6 else 1])
@@ -167,24 +166,10 @@ def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
 
 
 def _records_diam4(n: int, bounds: dict, closed_form, oracle, mismatch_note: str = "") -> list[Record]:
-    """A diameter-4 closed form against the partition-walk oracle.
-
-    ``mismatch_note`` is appended when the values agree but the attaining
-    sets differ.
-    """
-    claimed = closed_form(n)
-    found = oracle(n, 4, max_n_diam4=bounds["max_n_diam4"])
-    rec = _record(
-        n,
-        claimed.value,
-        found.value,
-        attaining_codes(claimed),
-        attaining_codes(found),
-        note="; ".join(claimed.notes),
-    )
-    if mismatch_note and not rec.match and rec.claimed_value == rec.oracle_value:
-        rec = replace(rec, note=f"{rec.note}; {mismatch_note}" if rec.note else mismatch_note)
-    return [rec]
+    """A diameter-4 closed form against the partition-walk oracle."""
+    claim = closed_form(n)
+    entry = oracle(n, 4, max_n_diam4=bounds["max_n_diam4"])
+    return [_record(n, claim, entry, note="; ".join(claim.notes), mismatch_note=mismatch_note)]
 
 
 # --- transform battery ----------------------------------------------------------
@@ -347,6 +332,16 @@ _BUILDERS = {
 }
 
 
+# The resource bound that each oracle-backed campaign reads, and the oracle's name.
+_BOUNDED = {
+    "smallest": ("max_n_free", "free-tree"),
+    "second-smallest": ("max_n_free", "free-tree"),
+    "third-smallest": ("max_n_free", "free-tree"),
+    "prop-f4": ("max_n_diam4", "diameter-4"),
+    "prop-g4": ("max_n_diam4", "diameter-4"),
+}
+
+
 def _worker(args) -> list[Record]:
     theorem, n, bounds = args
     return _BUILDERS[theorem](n, bounds)
@@ -368,8 +363,9 @@ def run_verification(
     that checks nothing never passes: ``DomainTooSmall`` for ``jobs`` below
     1, for ``lemmas`` a range the battery cannot draw (and, from the
     battery, ``trials`` below 1 or ``n_to`` below 7), and for every other
-    theorem ``n_from`` below 1 or an empty range.  The oracles check their
-    resource bounds per n and raise ``BoundExceeded``.
+    theorem ``n_from`` below 1 or an empty range.  A range that reaches
+    past its oracle's resource bound raises ``BoundExceeded`` up front too,
+    naming the first n past the bound.
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
@@ -384,8 +380,12 @@ def run_verification(
         raise DomainTooSmall(f"n must be at least 1, got {n_from}")
     if n_from > n_to:
         raise DomainTooSmall(f"empty n range {n_from}..{n_to}: nothing to verify")
-    start = time.monotonic()
     bounds = {"max_n_free": max_n_free, "max_n_diam4": max_n_diam4}
+    if theorem in _BOUNDED:
+        key, oracle = _BOUNDED[theorem]
+        if n_to > bounds[key]:
+            enumeration.check_bound(max(n_from, bounds[key] + 1), bounds[key], oracle)
+    start = time.monotonic()
     ns = list(range(n_from, n_to + 1))
     tasks = [(theorem, n, bounds) for n in ns]
     report = VerificationReport(theorem=theorem)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from revwiener.enumeration import _min2_diam4_specs, gen_free_trees, rank_trees
+from revwiener.enumeration import DEFAULT_TIE_CAP, _Buckets, _diam4_classes, gen_free_trees, rank_trees
+from revwiener.families import diam4
 from revwiener.tree import from_pruefer
 
 
@@ -16,8 +17,11 @@ def rankings():
 
 @pytest.fixture(scope="session")
 def diam4_minima():
-    """Two smallest values over diameter-4 classes with spec ties, n = 5..70."""
-    return {n: _min2_diam4_specs(n) for n in range(5, 71)}
+    """Two smallest values over diameter-4 classes with their tie codes, n = 5..70.
+
+    One partition walk per n serves both ranks.
+    """
+    return {n: _Buckets(2, DEFAULT_TIE_CAP).fill(_diam4_classes(n)).entries(diam4) for n in range(5, 71)}
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from revwiener.closed_forms import (
     qr_decompose,
     second_smallest,
 )
-from revwiener.enumeration import gen_free_trees
+from revwiener.enumeration import RankEntry, gen_free_trees, min_lambda_diam
 from revwiener.families import (
     DoubleStarSpec,
     build,
@@ -82,13 +82,12 @@ def test_criterion_3_third_smallest(rankings):
 
 def test_criterion_4_the_tie_at_n_57(diam4_minima):
     # Exhaustive over the diameter-4 classes on 57 vertices.
-    value, specs, truncated = diam4_minima[57][0]
-    assert value == 896 and not truncated
-    assert _codes(specs) == _codes([normalize(0, [(7, 7)]), normalize(0, [(6, 8)])])
+    entry = diam4_minima[57][0]
+    assert entry.value == 896 and not entry.truncated
+    assert set(entry.trees) == _codes([normalize(0, [(7, 7)]), normalize(0, [(6, 8)])])
     # Exhaustive over the diameter-3 classes (double stars) on 57 vertices.
-    by_a = {a: reverse_wiener(double_star(DoubleStarSpec(n=57, a=a))) for a in range(2, 29)}
-    assert min(by_a.values()) == 896
-    assert [a for a, v in by_a.items() if v == 896] == [28]
+    balanced = canonical_code(double_star(DoubleStarSpec(n=57, a=28)))
+    assert min_lambda_diam(57, 3) == RankEntry(value=896, trees=(balanced,))
     # Closed forms agree, and the combined tie set has three distinct trees.
     assert f_n3(57) == f_n4_value(57) == 896
     tie = second_smallest(57)
@@ -104,10 +103,10 @@ def test_criterion_4_the_tie_at_n_57(diam4_minima):
 def test_criterion_5_f_n4_against_the_oracle(diam4_minima):
     for n in range(5, 71):
         claimed = f_n4(n)
-        value, specs, truncated = diam4_minima[n][0]
-        assert not truncated
-        assert claimed.value == value, n
-        assert _codes(claimed.attaining) == _codes(specs), n
+        entry = diam4_minima[n][0]
+        assert not entry.truncated
+        assert claimed.value == entry.value, n
+        assert _codes(claimed.attaining) == set(entry.trees), n
         if qr_decompose(n).r == qr_decompose(n).q + 1:
             assert len(claimed.attaining) == 2, n
 
@@ -123,10 +122,10 @@ def test_criterion_6_g_n4_against_the_oracle(diam4_minima):
     mismatched = set()
     for n in range(6, 71):
         claimed = g_n4(n)
-        value, specs, truncated = diam4_minima[n][1]
-        assert not truncated
-        assert claimed.value == value, n
-        claimed_codes, oracle_codes = _codes(claimed.attaining), _codes(specs)
+        entry = diam4_minima[n][1]
+        assert not entry.truncated
+        assert claimed.value == entry.value, n
+        claimed_codes, oracle_codes = _codes(claimed.attaining), set(entry.trees)
         if claimed_codes != oracle_codes:
             mismatched.add(n)
             # Every mismatch record carries both sets; here we also check

@@ -7,13 +7,14 @@ from itertools import groupby, product
 import pytest
 
 from revwiener import enumeration
+from revwiener.closed_forms import f_n3
 from revwiener.enumeration import (
+    _Buckets,
     _diam3_classes,
     _diam4_classes,
     _free_tree_metrics,
     _levels_to_parents,
     _levels_to_tree,
-    _min2_diam4_specs,
     _runs_fold,
     free_tree_level_sequences,
     gen_diam4_specs,
@@ -221,9 +222,9 @@ class TestDiam4Specs:
 
         monkeypatch.setattr(enumeration, "Diam4Spec", counting)
         counts = _diam4_class_counts(30)
-        for n in range(1, 31):
+        for n in range(5, 31):
             built.clear()
-            _min2_diam4_specs(n)
+            min_lambda_diam(n, 4)
             assert len(built) == counts[n], n
 
     @pytest.mark.parametrize("n", range(5, 31))
@@ -240,8 +241,9 @@ class TestDiam4Specs:
             for spec in gen_diam4_specs(n):
                 by_value.setdefault(lambda_diam4_closed(spec), []).append(spec)
             smallest = sorted(by_value.items())[:2]
-            expected = [(v, specs[:tie_cap], len(specs) > tie_cap) for v, specs in smallest]
-            assert _min2_diam4_specs(n, tie_cap) == expected, n
+            expected = [(v, [specs[:tie_cap], len(specs) > tie_cap]) for v, specs in smallest]
+            buckets = _Buckets(2, tie_cap).fill(_diam4_classes(n))
+            assert sorted(buckets.data.items()) == expected, n
 
 
 def _part_by_part_specs(n):
@@ -411,8 +413,22 @@ class TestClassExtrema:
             assert second_min_lambda_diam(n, d).value == values[1]
 
     def test_diam4_route_reports_specs(self):
-        result = min_lambda_diam(30, 4)
-        assert all(reverse_wiener(diam4(spec)) == result.value for spec in result.attaining)
+        # The oracle's codes are those of every class that has its value.
+        by_value: dict[int, set] = {}
+        for spec in gen_diam4_specs(30):
+            by_value.setdefault(reverse_wiener(diam4(spec)), set()).add(canonical_code(diam4(spec)))
+        for oracle, (value, codes) in zip((min_lambda_diam, second_min_lambda_diam), sorted(by_value.items())):
+            entry = oracle(30, 4)
+            assert (entry.value, entry.trees, entry.truncated) == (value, tuple(sorted(codes)), False)
+
+    def test_diam3_route_serves_any_n(self):
+        # Each value is attained by one double star, at any n.
+        balanced = min_lambda_diam(57, 3)
+        assert (balanced.value, balanced.trees) == (896, (canonical_code(double_star(DoubleStarSpec(n=57, a=28))),))
+        second = second_min_lambda_diam(57, 3)
+        assert (second.value, second.trees) == (898, (canonical_code(double_star(DoubleStarSpec(n=57, a=27))),))
+        far = min_lambda_diam(200, 3)
+        assert (far.value, far.trees) == (f_n3(200), (canonical_code(double_star(DoubleStarSpec(n=200, a=100))),))
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):

@@ -84,3 +84,14 @@ def test_no_new_module_load_import():
                 found.setdefault(name.split(".")[0], path.name)
     extra = {name: where for name, where in found.items() if name not in MODULE_LOAD_IMPORTS}
     assert not extra, f"module-load imports outside the allowed set: {extra}"
+
+
+def test_enumeration_is_independent_of_the_closed_forms():
+    # An oracle that reused the closed forms could not disagree with them.
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "enumeration.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.rpartition(".")[2] == "closed_forms"}

@@ -3,7 +3,7 @@
 import pytest
 
 from revwiener import enumeration, verify
-from revwiener.errors import DomainTooSmall, UnknownTheorem
+from revwiener.errors import BoundExceeded, DomainTooSmall, UnknownTheorem
 from revwiener.verify import (
     SCHEMA_VERSION,
     THEOREM_IDS,
@@ -134,6 +134,34 @@ class TestCampaigns:
         with pytest.raises(DomainTooSmall) as exc:
             run_verification(theorem, n_from, n_to)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "theorem, n_from, n_to, bounds, message",
+        [
+            ("smallest", 20, 23, {}, "n=23 exceeds free-tree bound 22"),
+            ("third-smallest", 30, 40, {}, "n=30 exceeds free-tree bound 22"),
+            ("second-smallest", 5, 9, {"max_n_free": 8}, "n=9 exceeds free-tree bound 8"),
+            ("prop-f4", 70, 90, {}, "n=81 exceeds diameter-4 bound 80"),
+            ("prop-g4", 12, 13, {"max_n_diam4": 11}, "n=12 exceeds diameter-4 bound 11"),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_range_past_a_bound_is_rejected_before_any_work(
+        self, monkeypatch, theorem, n_from, n_to, bounds, message, jobs
+    ):
+        # The message is the one the oracle itself raises at that n.
+        def no_work(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        for oracle in ("rank_trees", "min_lambda_diam", "second_min_lambda_diam"):
+            monkeypatch.setattr(enumeration, oracle, no_work)
+        with pytest.raises(BoundExceeded) as exc:
+            run_verification(theorem, n_from, n_to, jobs=jobs, **bounds)
+        assert str(exc.value) == message
+
+    def test_range_that_ends_at_the_bound_runs(self):
+        assert run_verification("smallest", 8, 9, max_n_free=9).checked == 2
+        assert run_verification("prop-f4", 11, 12, jobs=2, max_n_diam4=12).checked == 2
 
 
 class TestLemmaBattery:
