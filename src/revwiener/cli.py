@@ -121,7 +121,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_rank(args) -> int:
     entries = enumeration.rank_trees(
-        args.n, args.k, max_n=args.max_n_free, tie_cap=_tie_cap_from_env(args.k)
+        args.n, args.k, max_n_free=args.max_n_free, tie_cap=_tie_cap_from_env(args.k)
     )
     if args.format == "structured":
         payload = [
@@ -144,38 +144,33 @@ def cmd_rank(args) -> int:
 
 
 _CLOSED_FORMS = {
-    "f2": lambda n: (closed_forms.f_n2(n), None),
-    "f3": lambda n: (closed_forms.f_n3(n), None),
-    "g3": lambda n: (closed_forms.g_n3(n), None),
-    "f4": lambda n: (None, closed_forms.f_n4(n)),
-    "g4": lambda n: (None, closed_forms.g_n4(n)),
-    "second": lambda n: (None, closed_forms.second_smallest(n)),
-    "third": lambda n: (None, closed_forms.third_smallest(n)),
+    "f2": lambda n: closed_forms.ExtremalResult(closed_forms.f_n2(n), ()),
+    "f3": lambda n: closed_forms.ExtremalResult(closed_forms.f_n3(n), ()),
+    "g3": lambda n: closed_forms.ExtremalResult(closed_forms.g_n3(n), ()),
+    "f4": lambda n: closed_forms.f_n4(n),
+    "g4": lambda n: closed_forms.g_n4(n),
+    "second": lambda n: closed_forms.second_smallest(n),
+    "third": lambda n: closed_forms.third_smallest(n),
 }
 
 
 def cmd_closed_form(args) -> int:
-    value, result = _CLOSED_FORMS[args.which](args.n)
-    if result is not None:
-        value = result.value
-        attaining = verify.describe_attaining(result)
-        notes = list(result.notes)
-    else:
-        attaining, notes = [], []
+    result = _CLOSED_FORMS[args.which](args.n)
+    attaining = verify.describe_attaining(result)
     if args.format == "structured":
         payload = {
             "which": args.which,
             "n": args.n,
-            "value": value,
+            "value": result.value,
             "attaining": list(attaining),
-            "notes": notes,
+            "notes": list(result.notes),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = [f"{args.which}({args.n}) = {value}"]
+        lines = [f"{args.which}({args.n}) = {result.value}"]
         if attaining:
             lines.append("attaining: " + ", ".join(attaining))
-        lines.extend(f"note: {note}" for note in notes)
+        lines.extend(f"note: {note}" for note in result.notes)
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -428,8 +428,8 @@ class _Buckets:
                 entry[1] = True
         return self
 
-    def entries(self, tree_of=None, first: int = 0) -> list[RankEntry]:
-        """One RankEntry per kept value from rank ``first`` on, by increasing value.
+    def entries(self, tree_of=None) -> list[RankEntry]:
+        """One RankEntry per kept value, by increasing value.
 
         ``tree_of`` builds each kept item's tree for its canonical code;
         the default reads items as level sequences.
@@ -437,21 +437,41 @@ class _Buckets:
         tree_of = tree_of or _levels_to_tree
         return [
             RankEntry(value, tuple(sorted(canonical_code(tree_of(item)) for item in items)), truncated)
-            for value, (items, truncated) in sorted(self.data.items())[first:]
+            for value, (items, truncated) in sorted(self.data.items())
         ]
 
 
 def rank_trees(
     n: int,
     k: int,
-    max_n: int = DEFAULT_MAX_N_FREE,
+    diameter: int | None = None,
+    max_n_free: int = DEFAULT_MAX_N_FREE,
+    max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
     tie_cap: int = DEFAULT_TIE_CAP,
 ) -> list[RankEntry]:
-    """The k smallest distinct reverse-Wiener values over all free trees on n vertices."""
+    """The k smallest distinct reverse-Wiener values over the free trees on n vertices.
+
+    Given ``diameter``, over the trees of that diameter alone, which must
+    lie in 2..n-1 (else ``EmptyClass``): the double stars serve d = 3 at
+    any n, the partition walk d = 4 up to ``max_n_diam4``, and the
+    free-tree walk filtered on d the rest.  A class with fewer than k
+    distinct values gives fewer entries.
+    """
     if k < 1:
         raise DomainTooSmall(f"k must be at least 1, got {k}")
-    pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n))
-    return _Buckets(k, tie_cap, copy=list).fill(pairs).entries()
+    tree_of, copy = None, list
+    if diameter is None:
+        pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n_free))
+    elif not 2 <= diameter <= n - 1:
+        raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
+    elif diameter == 3:
+        pairs, copy = _diam3_classes(n), None
+    elif diameter == 4:
+        check_bound(n, max_n_diam4, "diameter-4")
+        pairs, tree_of, copy = _diam4_classes(n), diam4, None
+    else:
+        pairs = ((lam, levels) for levels, d, lam in _free_tree_metrics(n, max_n_free) if d == diameter)
+    return _Buckets(k, tie_cap, copy).fill(pairs).entries(tree_of)
 
 
 def min_lambda_diam(
@@ -461,7 +481,7 @@ def min_lambda_diam(
     max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
 ) -> RankEntry:
     """Exhaustive minimum of the reverse Wiener index over n-vertex trees of diameter d."""
-    return _extremum_diam(n, d, 0, max_n_free, max_n_diam4)
+    return rank_trees(n, 1, d, max_n_free, max_n_diam4)[0]
 
 
 def second_min_lambda_diam(
@@ -471,27 +491,7 @@ def second_min_lambda_diam(
     max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
 ) -> RankEntry:
     """Exhaustive second-smallest value over n-vertex trees of diameter d."""
-    return _extremum_diam(n, d, 1, max_n_free, max_n_diam4)
-
-
-def _extremum_diam(n, d, index, max_n_free, max_n_diam4) -> RankEntry:
-    """The (index + 1)-th smallest value at diameter d, with codes for its ties alone.
-
-    The double stars serve d = 3 at any n, the partition walk d = 4 up
-    to ``max_n_diam4``, and the free-tree walk filtered on d the rest.
-    """
-    if not 2 <= d <= n - 1:
-        raise EmptyClass(f"no tree on {n} vertices has diameter {d}")
-    tree_of = copy = None
-    if d == 3:
-        pairs = _diam3_classes(n)
-    elif d == 4:
-        check_bound(n, max_n_diam4, "diameter-4")
-        pairs, tree_of = _diam4_classes(n), diam4
-    else:
-        pairs = ((lam, levels) for levels, diam, lam in _free_tree_metrics(n, max_n_free) if diam == d)
-        copy = list
-    buckets = _Buckets(index + 1, DEFAULT_TIE_CAP, copy).fill(pairs)
-    if len(buckets.data) <= index:
-        raise EmptyClass(f"fewer than {index + 1} distinct values at (n={n}, d={d})")
-    return buckets.entries(tree_of, first=index)[0]
+    entries = rank_trees(n, 2, d, max_n_free, max_n_diam4)
+    if len(entries) < 2:
+        raise EmptyClass(f"fewer than 2 distinct values at (n={n}, d={d})")
+    return entries[1]

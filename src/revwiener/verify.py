@@ -12,7 +12,6 @@ records are merged back in n order.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -144,24 +143,26 @@ def _star_claim(n: int) -> closed_forms.ExtremalResult:
 
 def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record]:
     """The closed form's overall rank-th smallest value against the free-tree ranking."""
-    entries = enumeration.rank_trees(n, rank, max_n=bounds["max_n_free"])
+    entries = enumeration.rank_trees(n, rank, max_n_free=bounds["max_n_free"])
     return [_record(n, closed_form(n), entries[rank - 1])]
 
 
 def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
-    """f(n,3) and g(n,3) against the two smallest values over the double-star level sequences."""
-    minima = enumeration._Buckets(2, sys.maxsize).fill(enumeration._diam3_classes(n)).entries()
-    claims = [(closed_forms.f_n3, n // 2, "f(n,3)"), (closed_forms.g_n3, n // 2 - 1, "g(n,3)")]
-    # The closed form is evaluated first, so an n below its domain raises
-    # DomainTooSmall before the (then too short) minima are indexed.
+    """f(n,3) and g(n,3) against the two smallest values over the double stars."""
+    # The closed forms go first, so an n below their domain raises their
+    # DomainTooSmall, not the oracle's EmptyClass.
+    claims = [(closed_forms.f_n3(n), n // 2, "f(n,3)")]
+    if n >= 6:
+        claims.append((closed_forms.g_n3(n), n // 2 - 1, "g(n,3)"))
+    entries = enumeration.rank_trees(n, 2, diameter=3)
     return [
         _record(
             n,
-            closed_forms.ExtremalResult(value=closed_form(n), attaining=(DoubleStarSpec(n=n, a=a),)),
-            minima[i],
+            closed_forms.ExtremalResult(value=value, attaining=(DoubleStarSpec(n=n, a=a),)),
+            entries[i],
             note=note,
         )
-        for i, (closed_form, a, note) in enumerate(claims[: 2 if n >= 6 else 1])
+        for i, (value, a, note) in enumerate(claims)
     ]
 
 

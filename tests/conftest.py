@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from revwiener.enumeration import DEFAULT_TIE_CAP, _Buckets, _diam4_classes, gen_free_trees, rank_trees
-from revwiener.families import diam4
+from revwiener.enumeration import gen_free_trees, rank_trees
 from revwiener.tree import from_pruefer
 
 
@@ -21,7 +20,7 @@ def diam4_minima():
 
     One partition walk per n serves both ranks.
     """
-    return {n: _Buckets(2, DEFAULT_TIE_CAP).fill(_diam4_classes(n)).entries(diam4) for n in range(5, 71)}
+    return {n: rank_trees(n, 2, diameter=4) for n in range(5, 71)}
 
 
 @pytest.fixture(scope="session")

@@ -397,20 +397,30 @@ def _full_sort(n):
     return sorted(by_value.items())
 
 
+@lru_cache(maxsize=None)
+def _by_diameter(n):
+    """diameter -> reverse-Wiener value -> canonical codes, over every free tree on n vertices."""
+    table: dict[int, dict[int, list[str]]] = {}
+    for t in gen_free_trees(n):
+        by_value = table.setdefault(diameter_and_centers(t)[0], {})
+        by_value.setdefault(reverse_wiener(t), []).append(canonical_code(t))
+    return table
+
+
 class TestClassExtrema:
-    @pytest.mark.parametrize("n", range(5, 13))
-    @pytest.mark.parametrize("d", (3, 4))
-    def test_against_direct_minimum(self, n, d):
-        values = sorted(
-            {
-                reverse_wiener(t)
-                for t in gen_free_trees(n)
-                if diameter_and_centers(t)[0] == d
-            }
-        )
-        assert min_lambda_diam(n, d).value == values[0]
-        if len(values) > 1:
-            assert second_min_lambda_diam(n, d).value == values[1]
+    # Every route: the double stars at d = 3, the partition walk at d = 4,
+    # and the filtered free-tree walk at d = 2 and d >= 5.
+    @pytest.mark.parametrize("d, n", [(d, n) for n in range(5, 13) for d in range(2, n)])
+    def test_against_direct_minimum(self, d, n):
+        expected = [(value, tuple(sorted(codes)), False) for value, codes in sorted(_by_diameter(n)[d].items())[:3]]
+        entries = rank_trees(n, 3, diameter=d)
+        assert [(e.value, e.trees, e.truncated) for e in entries] == expected
+        assert min_lambda_diam(n, d) == entries[0]
+        if len(entries) > 1:
+            assert second_min_lambda_diam(n, d) == entries[1]
+        else:
+            with pytest.raises(EmptyClass):
+                second_min_lambda_diam(n, d)
 
     def test_diam4_route_reports_specs(self):
         # The oracle's codes are those of every class that has its value.
@@ -429,12 +439,19 @@ class TestClassExtrema:
         assert (second.value, second.trees) == (898, (canonical_code(double_star(DoubleStarSpec(n=57, a=27))),))
         far = min_lambda_diam(200, 3)
         assert (far.value, far.trees) == (f_n3(200), (canonical_code(double_star(DoubleStarSpec(n=200, a=100))),))
+        # No free-tree bound applies to the double stars.
+        assert [e.value for e in rank_trees(57, 2, diameter=3, max_n_free=5)] == [896, 898]
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
             min_lambda_diam(4, 4)  # no diameter-4 tree on 4 vertices
         with pytest.raises(EmptyClass):
             second_min_lambda_diam(5, 4)  # P_5 is the only one on 5
+        for d in (1, 8):  # outside 2..n-1
+            with pytest.raises(EmptyClass):
+                rank_trees(8, 2, diameter=d)
+            with pytest.raises(EmptyClass):
+                min_lambda_diam(8, d)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):

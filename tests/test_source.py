@@ -95,3 +95,24 @@ def test_enumeration_is_independent_of_the_closed_forms():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if name.rpartition(".")[2] == "closed_forms"}
+
+
+def test_verify_reads_no_private_enumeration_name():
+    # verify asks the oracles through their public entry points only.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "enumeration"
+        and node.attr.startswith("_")
+    }
+    private.update(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "enumeration"
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"verify reads private enumeration names: {sorted(private)}"
