@@ -11,6 +11,17 @@ suite cross-validates it against slow, independent routes: Pruefer
 decoding of every labeled tree, and leaf attachment deduplicated by
 canonical code.
 
+The pass can skip trees by center height h = max(levels), while still
+drawing every tree from the generator: it then resumes at the smaller of
+the pivot and the lowest pivot of the trees it skipped.  Over all trees,
+an exact max-Wiener dynamic programme by height (Jordan's center theorem
+and the edge-cut sum, none of the paper's lemmas) bounds the reverse
+Wiener index of each height from below, and rank_trees skips the heights
+whose bound exceeds a cutoff seeded from the star and the double stars.
+Two checks back the pruning: a walked tree must meet its height's bound,
+and the kept values must reach k and end at or below the cutoff.  A
+diameter class walks only its own center height.
+
 The diameter-3 oracle yields each double star as a level sequence with
 its reverse Wiener index from a W/d fold over the sequence's four runs of
 equal levels, in O(1) per class; callers build trees only for the values
@@ -174,7 +185,15 @@ def _levels_to_tree(levels: list[int]) -> Tree:
     return from_edge_list(len(levels), [(parent[i], i) for i in range(1, len(levels))])
 
 
-def _free_tree_metrics(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[tuple[list[int], int, int]]:
+def _check_free_n(n: int, max_n: int) -> None:
+    if n < 1:
+        raise DomainTooSmall(f"n must be at least 1, got {n}")
+    check_bound(n, max_n, "free-tree")
+
+
+def _free_tree_metrics(
+    n: int, max_n: int = DEFAULT_MAX_N_FREE, floors: dict[int, int] | None = None
+) -> Iterator[tuple[list[int], int, int]]:
     """(levels, diameter, reverse_wiener) for every free tree on n vertices, 1 <= n <= max_n.
 
     One forward pass per tree, resumed at the generator's pivot.  Before
@@ -187,18 +206,33 @@ def _free_tree_metrics(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[tupl
     The stack, W and d of the closed vertices are kept for every index, so
     a tree costs the indices from its pivot on plus closing the stack,
     which is O(height).
+
+    Given ``floors``, only the trees whose center height h = max(levels)
+    is a key are walked and yielded; every other tree is still drawn from
+    the generator but runs no pass.  A walked tree whose reverse Wiener
+    index falls below ``floors[h]`` raises InternalCheckFailed.  The kept
+    state stays correct through a valid prefix: the state at index i
+    matches the current sequence for every i up to ``valid``.  A skipped
+    tree lowers ``valid`` to its pivot, and the next walked tree starts at
+    the smaller of its own pivot and ``valid``.
     """
-    if n < 1:
-        raise DomainTooSmall(f"n must be at least 1, got {n}")
-    check_bound(n, max_n, "free-tree")
+    _check_free_n(n, max_n)
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
     stack[1] = (1, 0, 0, None)
     pairs = n * (n - 1) // 2
     # Read through the module global, so a wrapper installed there sees every tree.
+    valid = n
     for levels, pivot in free_tree_level_sequences(n):
-        start = pivot or 1
+        if floors is not None:
+            floor = floors.get(max(levels))
+            if floor is None:
+                if pivot < valid:
+                    valid = pivot
+                continue
+        start = (pivot if pivot < valid else valid) or 1
+        valid = n
         node, w, d = stack[start], ws[start], ds[start]
         top = levels[start - 1]
         for i in range(start, n):
@@ -235,7 +269,72 @@ def _free_tree_metrics(n: int, max_n: int = DEFAULT_MAX_N_FREE) -> Iterator[tupl
                 a, b = pa, pb
         if a + b > d:
             d = a + b
-        yield levels, d, pairs * d - w
+        lam = pairs * d - w
+        if floors is not None and lam < floor:
+            raise InternalCheckFailed(
+                f"a tree of center height {max(levels)} on {n} vertices has reverse Wiener index {lam},"
+                f" below the height bound {floor}"
+            )
+        yield levels, d, lam
+
+
+def _height_filter(diameter: int | None) -> dict[int, int] | None:
+    """Floors that walk only the center height a tree of ``diameter`` has, with the bound 0.
+
+    A tree of diameter d has center height (d + 1) // 2, and its reverse
+    Wiener index is never negative, since no distance exceeds d.
+    """
+    return None if diameter is None else {(diameter + 1) // 2: 0}
+
+
+def _max_wiener_by_height(n: int, height: int) -> list[int | None]:
+    """The largest Wiener index over the n-vertex trees of center height <= h, for h = 0..height.
+
+    None where no tree has that height (h = 0 with n > 1).  Rooted at its
+    center, a tree of center height <= h is a rooted tree of height <= h,
+    and rooted anywhere its W is the edge-cut sum s(n - s) over the subtree
+    sizes s of its non-root vertices.  best[m] is the largest such sum over
+    the m-vertex rooted trees of height <= h: an unbounded knapsack whose
+    items are the child subtrees, size i with value best[i] at height h - 1
+    plus i(n - i).  Each height costs O(n^2).
+    """
+    best = [None] * (n + 1)
+    best[1] = 0  # height 0: the one-vertex tree
+    out = [best[n]]
+    for _ in range(height):
+        items = [(i, b + i * (n - i)) for i, b in enumerate(best[:n]) if b is not None]
+        forest = [0] * n  # forest[t]: the best children of t vertices in all
+        for t in range(1, n):
+            forest[t] = max(forest[t - i] + v for i, v in items if i <= t)
+        best = [None] + forest
+        out.append(best[n])
+    return out
+
+
+def _height_floors(n: int) -> dict[int, int]:
+    """B(h) = n(n-1)(2h-1)/2 - maxW(h) per center height h of an n-vertex tree.
+
+    A tree of center height h has diameter 2h - 1 or 2h and W <= maxW(h),
+    so its reverse Wiener index n(n-1)d/2 - W is at least B(h).
+    """
+    pairs = n * (n - 1) // 2
+    return {
+        h: pairs * (2 * h - 1) - w
+        for h, w in enumerate(_max_wiener_by_height(n, n // 2))
+        if w is not None
+    }
+
+
+def _seeded_cutoff(n: int, k: int) -> int | None:
+    """The k-th smallest distinct reverse Wiener index among the star and the double stars.
+
+    The star K(1,n-1) has n - 1 (for n >= 3); the double stars come from
+    _diam3_classes.  None when they give fewer than k distinct values.
+    """
+    values = {lam for lam, _ in _diam3_classes(n)}
+    if n >= 3:
+        values.add(n - 1)
+    return sorted(values)[k - 1] if len(values) >= k else None
 
 
 # --- generation ---------------------------------------------------------------
@@ -245,9 +344,10 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None
     """Exactly one representative tree per isomorphism class on n vertices.
 
     Given ``diameter``, only the classes of that diameter: the metrics pass
-    reads d off each level sequence, and only the kept trees are built.
+    walks only the trees of center height (diameter + 1) // 2, reads d off
+    each, and only the kept trees are built.
     """
-    for levels, d, _ in _free_tree_metrics(n, max_n):
+    for levels, d, _ in _free_tree_metrics(n, max_n, _height_filter(diameter)):
         if diameter is None or d == diameter:
             yield _levels_to_tree(levels)
 
@@ -454,14 +554,26 @@ def rank_trees(
     Given ``diameter``, over the trees of that diameter alone, which must
     lie in 2..n-1 (else ``EmptyClass``): the double stars serve d = 3 at
     any n, the partition walk d = 4 up to ``max_n_diam4``, and the
-    free-tree walk filtered on d the rest.  A class with fewer than k
-    distinct values gives fewer entries.
+    free-tree walk filtered on d the rest, which walks only the trees of
+    center height (d + 1) // 2.  A class with fewer than k distinct values
+    gives fewer entries.
+
+    Over all trees, when the star and the double stars give at least k
+    distinct values, the k-th smallest of them is a cutoff V: the walk
+    skips every center height h whose bound B(h) from _height_floors
+    exceeds V, since no tree there can reach the k smallest values or tie
+    with them.  It raises InternalCheckFailed if a walked tree falls below
+    its B(h), or if the kept values are fewer than k or the k-th exceeds V;
+    with fewer seeds than k the walk is unpruned.
     """
     if k < 1:
         raise DomainTooSmall(f"k must be at least 1, got {k}")
-    tree_of, copy = None, list
+    tree_of, copy, cutoff = None, list, None
     if diameter is None:
-        pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n_free))
+        _check_free_n(n, max_n_free)
+        cutoff = _seeded_cutoff(n, k)
+        floors = None if cutoff is None else {h: b for h, b in _height_floors(n).items() if b <= cutoff}
+        pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n_free, floors))
     elif not 2 <= diameter <= n - 1:
         raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
     elif diameter == 3:
@@ -470,8 +582,15 @@ def rank_trees(
         check_bound(n, max_n_diam4, "diameter-4")
         pairs, tree_of, copy = _diam4_classes(n), diam4, None
     else:
-        pairs = ((lam, levels) for levels, d, lam in _free_tree_metrics(n, max_n_free) if d == diameter)
-    return _Buckets(k, tie_cap, copy).fill(pairs).entries(tree_of)
+        walk = _free_tree_metrics(n, max_n_free, _height_filter(diameter))
+        pairs = ((lam, levels) for levels, d, lam in walk if d == diameter)
+    buckets = _Buckets(k, tie_cap, copy).fill(pairs)
+    if cutoff is not None and (len(buckets.data) < k or max(buckets.data) > cutoff):
+        raise InternalCheckFailed(
+            f"the height-pruned ranking at n={n}, k={k} kept {len(buckets.data)} values"
+            f" up to {max(buckets.data, default=None)}, not k up to the cutoff {cutoff}"
+        )
+    return buckets.entries(tree_of)
 
 
 def min_lambda_diam(

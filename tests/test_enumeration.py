@@ -7,15 +7,19 @@ from itertools import groupby, product
 import pytest
 
 from revwiener import enumeration
+from revwiener.cli import EXIT_INTERNAL, main
 from revwiener.closed_forms import f_n3
 from revwiener.enumeration import (
     _Buckets,
     _diam3_classes,
     _diam4_classes,
     _free_tree_metrics,
+    _height_floors,
     _levels_to_parents,
     _levels_to_tree,
+    _max_wiener_by_height,
     _runs_fold,
+    _seeded_cutoff,
     free_tree_level_sequences,
     gen_diam4_specs,
     gen_free_trees,
@@ -28,8 +32,8 @@ from revwiener.families import Diam4Spec, DoubleStarSpec, diam4, double_star, la
 from revwiener.invariants import metrics, reverse_wiener
 from revwiener.tree import canonical_code, diameter_and_centers, from_edge_list, from_pruefer, wiener_diameter_fold
 
-# Number of free (unlabeled) trees on n = 1..12 vertices.
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# Number of free (unlabeled) trees on n = 1..14 vertices (Otter).
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
 
 
 class TestFreeTrees:
@@ -369,7 +373,8 @@ class TestVisitCount:
     # perfbench counts trees_visited by wrapping the module-global generator
     # name, and its check_trace compares that count with Otter's.
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    # The height-pruned walk still draws every tree, so the count is Otter's.
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_oracles_reach_the_generator_through_its_global_name(self, n, monkeypatch):
         generator = enumeration.free_tree_level_sequences
         visited = []
@@ -386,6 +391,72 @@ class TestVisitCount:
             visited.clear()
             min_lambda_diam(n, 5)
             assert len(visited) == FREE_TREE_COUNTS[n - 1]
+
+
+class TestHeightBound:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_max_wiener_and_floors_match_exhaustive(self, n):
+        # Per center height h = max(levels): the largest W and the smallest Λ.
+        pairs = n * (n - 1) // 2
+        max_w: dict[int, int] = {}
+        min_lam: dict[int, int] = {}
+        for levels, d, lam in _free_tree_metrics(n):
+            h = max(levels)
+            max_w[h] = max(max_w.get(h, 0), pairs * d - lam)
+            min_lam[h] = min(min_lam.get(h, lam), lam)
+        expected, best = [], None
+        for h in range(n // 2 + 2):  # one height past the path's, where nothing changes
+            if h in max_w:
+                best = max_w[h] if best is None else max(best, max_w[h])
+            expected.append(best)
+        assert _max_wiener_by_height(n, n // 2 + 1) == expected
+        floors = _height_floors(n)
+        assert sorted(floors) == sorted(min_lam)
+        for h, lam in min_lam.items():
+            assert floors[h] == pairs * (2 * h - 1) - expected[h] <= lam, h
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_pruned_ranking_matches_unpruned_fill(self, n):
+        # The unpruned walk is stored once, so each (k, tie cap) refills it.
+        walk = [(lam, tuple(levels)) for levels, _, lam in _free_tree_metrics(n)]
+        for k in (1, 2, 3, 10, 50):
+            for tie_cap in (1, 2, 64):
+                expected = _Buckets(k, tie_cap, list).fill(walk).entries()
+                assert rank_trees(n, k, tie_cap=tie_cap) == expected, (k, tie_cap)
+
+    def test_small_k_prunes_every_height_past_two(self):
+        for n in range(6, 19):
+            cutoff = _seeded_cutoff(n, 3)
+            assert [h for h, b in _height_floors(n).items() if b <= cutoff] == [1, 2], n
+        # n = 17 seeds only 8 values: the star and 7 double stars.
+        assert _seeded_cutoff(17, 8) is not None
+        assert _seeded_cutoff(17, 9) is None
+
+    def test_understated_max_wiener_raises(self, monkeypatch):
+        # B(2) raised to the third smallest value: height 2 is still walked,
+        # and its two double stars below that value break the bound.
+        n = 12
+        third = rank_trees(n, 3)[2].value
+        real = enumeration._max_wiener_by_height
+        understated = n * (n - 1) // 2 * 3 - third
+        monkeypatch.setattr(
+            enumeration,
+            "_max_wiener_by_height",
+            lambda m, height: [understated if h == 2 else w for h, w in enumerate(real(m, height))],
+        )
+        with pytest.raises(InternalCheckFailed, match="below the height bound"):
+            rank_trees(n, 3)
+
+    def test_cutoff_below_the_kept_values_raises(self, monkeypatch, capsys):
+        # A seed value too small gives a cutoff below the true third value.
+        real = enumeration._diam3_classes
+        monkeypatch.setattr(enumeration, "_diam3_classes", lambda n: ((lam - n, lv) for lam, lv in real(n)))
+        with pytest.raises(InternalCheckFailed, match="cutoff"):
+            rank_trees(12, 3)
+        assert main(["rank", "--n", "12", "--k", "3"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal check failed:") and "cutoff" in captured.err
 
 
 @lru_cache(maxsize=None)
