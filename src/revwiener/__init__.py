@@ -16,9 +16,7 @@ from .enumeration import (
     RankEntry,
     gen_diam4_specs,
     gen_free_trees,
-    min_lambda_diam,
     rank_trees,
-    second_min_lambda_diam,
 )
 from .families import (
     Diam4Spec,
@@ -78,7 +76,6 @@ __all__ = [
     "lemma3_rebalance",
     "lemma5_contract",
     "metrics",
-    "min_lambda_diam",
     "normalize",
     "parse_edge_list",
     "parse_family_spec",
@@ -88,7 +85,6 @@ __all__ = [
     "reverse_wiener",
     "run_lemma_battery",
     "run_verification",
-    "second_min_lambda_diam",
     "second_smallest",
     "star",
     "third_smallest",

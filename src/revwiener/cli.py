@@ -212,6 +212,8 @@ def _report_human(report: verify.VerificationReport) -> str:
 
 def cmd_verify(args) -> int:
     if args.n is not None:
+        if args.n_from is not None or args.n_to is not None:
+            raise SpecParseError("verify takes --n or --n-from/--n-to, not both")
         n_from = n_to = args.n
     elif args.n_from is not None and args.n_to is not None:
         n_from, n_to = args.n_from, args.n_to

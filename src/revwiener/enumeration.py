@@ -57,6 +57,20 @@ def check_bound(n: int, bound: int, oracle: str) -> None:
         raise BoundExceeded(f"n={n} exceeds {oracle} bound {bound}")
 
 
+def class_bound(
+    diameter: int | None, max_n_free: int = DEFAULT_MAX_N_FREE, max_n_diam4: int = DEFAULT_MAX_N_DIAM4
+) -> tuple[int, str] | None:
+    """The bound on n that guards rank_trees over a class, with its oracle's name.
+
+    None at diameter 3, ``max_n_diam4`` at 4, ``max_n_free`` at any other diameter and over all trees.
+    """
+    if diameter == 3:
+        return None
+    if diameter == 4:
+        return max_n_diam4, "diameter-4"
+    return max_n_free, "free-tree"
+
+
 # --- level-sequence machinery -------------------------------------------------
 
 
@@ -185,10 +199,12 @@ def _levels_to_tree(levels: list[int]) -> Tree:
     return from_edge_list(len(levels), [(parent[i], i) for i in range(1, len(levels))])
 
 
-def _check_free_n(n: int, max_n: int) -> None:
+def _check_n(n: int, guard: tuple[int, str] | None) -> None:
+    """Raise DomainTooSmall for n below 1, and BoundExceeded for n past ``guard`` from class_bound."""
     if n < 1:
         raise DomainTooSmall(f"n must be at least 1, got {n}")
-    check_bound(n, max_n, "free-tree")
+    if guard is not None:
+        check_bound(n, *guard)
 
 
 def _free_tree_metrics(
@@ -216,7 +232,7 @@ def _free_tree_metrics(
     tree lowers ``valid`` to its pivot, and the next walked tree starts at
     the smaller of its own pivot and ``valid``.
     """
-    _check_free_n(n, max_n)
+    _check_n(n, class_bound(None, max_n))
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
@@ -481,7 +497,7 @@ def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
         yield spec
 
 
-# --- ranking and class minima ---------------------------------------------------
+# --- ranking --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -556,7 +572,7 @@ def rank_trees(
     any n, the partition walk d = 4 up to ``max_n_diam4``, and the
     free-tree walk filtered on d the rest, which walks only the trees of
     center height (d + 1) // 2.  A class with fewer than k distinct values
-    gives fewer entries.
+    gives fewer entries.  ``k`` or ``tie_cap`` below 1 raises DomainTooSmall.
 
     Over all trees, when the star and the double stars give at least k
     distinct values, the k-th smallest of them is a cutoff V: the walk
@@ -568,18 +584,19 @@ def rank_trees(
     """
     if k < 1:
         raise DomainTooSmall(f"k must be at least 1, got {k}")
+    if tie_cap < 1:
+        raise DomainTooSmall(f"tie_cap must be at least 1, got {tie_cap}")
+    if diameter is not None and not 2 <= diameter <= n - 1:
+        raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
+    _check_n(n, class_bound(diameter, max_n_free, max_n_diam4))
     tree_of, copy, cutoff = None, list, None
     if diameter is None:
-        _check_free_n(n, max_n_free)
         cutoff = _seeded_cutoff(n, k)
         floors = None if cutoff is None else {h: b for h, b in _height_floors(n).items() if b <= cutoff}
         pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n_free, floors))
-    elif not 2 <= diameter <= n - 1:
-        raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
     elif diameter == 3:
         pairs, copy = _diam3_classes(n), None
     elif diameter == 4:
-        check_bound(n, max_n_diam4, "diameter-4")
         pairs, tree_of, copy = _diam4_classes(n), diam4, None
     else:
         walk = _free_tree_metrics(n, max_n_free, _height_filter(diameter))
@@ -592,25 +609,3 @@ def rank_trees(
         )
     return buckets.entries(tree_of)
 
-
-def min_lambda_diam(
-    n: int,
-    d: int,
-    max_n_free: int = DEFAULT_MAX_N_FREE,
-    max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
-) -> RankEntry:
-    """Exhaustive minimum of the reverse Wiener index over n-vertex trees of diameter d."""
-    return rank_trees(n, 1, d, max_n_free, max_n_diam4)[0]
-
-
-def second_min_lambda_diam(
-    n: int,
-    d: int,
-    max_n_free: int = DEFAULT_MAX_N_FREE,
-    max_n_diam4: int = DEFAULT_MAX_N_DIAM4,
-) -> RankEntry:
-    """Exhaustive second-smallest value over n-vertex trees of diameter d."""
-    entries = rank_trees(n, 2, d, max_n_free, max_n_diam4)
-    if len(entries) < 2:
-        raise EmptyClass(f"fewer than 2 distinct values at (n={n}, d={d})")
-    return entries[1]

@@ -132,7 +132,7 @@ def _record(n: int, claim, entry, note: str = "", mismatch_note: str = "") -> Re
     )
 
 
-# --- per-theorem, per-n record builders -----------------------------------------
+# --- per-theorem claims -----------------------------------------------------------
 
 
 def _star_claim(n: int) -> closed_forms.ExtremalResult:
@@ -141,36 +141,15 @@ def _star_claim(n: int) -> closed_forms.ExtremalResult:
     return closed_forms.ExtremalResult(value=reverse_wiener(s), attaining=(canonical_code(s),))
 
 
-def _records_ranked(n: int, bounds: dict, rank: int, closed_form) -> list[Record]:
-    """The closed form's overall rank-th smallest value against the free-tree ranking."""
-    entries = enumeration.rank_trees(n, rank, max_n_free=bounds["max_n_free"])
-    return [_record(n, closed_form(n), entries[rank - 1])]
-
-
-def _records_prop_d3(n: int, bounds: dict) -> list[Record]:
-    """f(n,3) and g(n,3) against the two smallest values over the double stars."""
-    # The closed forms go first, so an n below their domain raises their
-    # DomainTooSmall, not the oracle's EmptyClass.
-    claims = [(closed_forms.f_n3(n), n // 2, "f(n,3)")]
+def _prop_d3_claims(n: int) -> list:
+    """f(n,3) and g(n,3) as the two smallest values over the double stars."""
+    claims = [(1, closed_forms.f_n3(n), n // 2, "f(n,3)")]
     if n >= 6:
-        claims.append((closed_forms.g_n3(n), n // 2 - 1, "g(n,3)"))
-    entries = enumeration.rank_trees(n, 2, diameter=3)
+        claims.append((2, closed_forms.g_n3(n), n // 2 - 1, "g(n,3)"))
     return [
-        _record(
-            n,
-            closed_forms.ExtremalResult(value=value, attaining=(DoubleStarSpec(n=n, a=a),)),
-            entries[i],
-            note=note,
-        )
-        for i, (value, a, note) in enumerate(claims)
+        (rank, closed_forms.ExtremalResult(value=value, attaining=(DoubleStarSpec(n=n, a=a),)), note)
+        for rank, value, a, note in claims
     ]
-
-
-def _records_diam4(n: int, bounds: dict, closed_form, oracle, mismatch_note: str = "") -> list[Record]:
-    """A diameter-4 closed form against the partition-walk oracle."""
-    claim = closed_form(n)
-    entry = oracle(n, 4, max_n_diam4=bounds["max_n_diam4"])
-    return [_record(n, claim, entry, note="; ".join(claim.notes), mismatch_note=mismatch_note)]
 
 
 # --- transform battery ----------------------------------------------------------
@@ -317,35 +296,34 @@ def run_lemma_battery(trials: int = 1000, max_n: int = 40, seed: int = 0) -> Ver
 # --- campaign driver --------------------------------------------------------------
 
 
-_BUILDERS = {
-    "smallest": lambda n, bounds: _records_ranked(n, bounds, 1, _star_claim),
-    "second-smallest": lambda n, bounds: _records_ranked(n, bounds, 2, closed_forms.second_smallest),
-    "third-smallest": lambda n, bounds: _records_ranked(n, bounds, 3, closed_forms.third_smallest),
-    "prop-d3": _records_prop_d3,
-    "prop-f4": lambda n, bounds: _records_diam4(n, bounds, closed_forms.f_n4, enumeration.min_lambda_diam),
-    "prop-g4": lambda n, bounds: _records_diam4(
-        n,
-        bounds,
-        closed_forms.g_n4,
-        enumeration.second_min_lambda_diam,
+# theorem -> (diameter or None for all trees, claims(n) -> [(rank, claim, note)],
+# the note added when a claim's value matches but its attaining set does not).
+_CAMPAIGNS = {
+    "smallest": (None, lambda n: [(1, _star_claim(n), "")], ""),
+    "second-smallest": (None, lambda n: [(2, closed_forms.second_smallest(n), "")], ""),
+    "third-smallest": (None, lambda n: [(3, closed_forms.third_smallest(n), "")], ""),
+    "prop-d3": (3, _prop_d3_claims, ""),
+    "prop-f4": (4, lambda n: [(1, closed_forms.f_n4(n), "")], ""),
+    "prop-g4": (
+        4,
+        lambda n: [(2, closed_forms.g_n4(n), "")],
         "suspected erratum in the published attaining table; oracle is authoritative",
     ),
 }
 
 
-# The resource bound that each oracle-backed campaign reads, and the oracle's name.
-_BOUNDED = {
-    "smallest": ("max_n_free", "free-tree"),
-    "second-smallest": ("max_n_free", "free-tree"),
-    "third-smallest": ("max_n_free", "free-tree"),
-    "prop-f4": ("max_n_diam4", "diameter-4"),
-    "prop-g4": ("max_n_diam4", "diameter-4"),
-}
-
-
 def _worker(args) -> list[Record]:
-    theorem, n, bounds = args
-    return _BUILDERS[theorem](n, bounds)
+    """One n of a campaign; its claims go first, so a closed form's DomainTooSmall precedes any oracle error."""
+    theorem, n, max_n_free, max_n_diam4 = args
+    diameter, claims_of, mismatch_note = _CAMPAIGNS[theorem]
+    claims = claims_of(n)
+    entries = enumeration.rank_trees(
+        n, max(rank for rank, _, _ in claims), diameter, max_n_free=max_n_free, max_n_diam4=max_n_diam4
+    )
+    return [
+        _record(n, claim, entries[rank - 1], note or "; ".join(claim.notes), mismatch_note)
+        for rank, claim, note in claims
+    ]
 
 
 def run_verification(
@@ -381,14 +359,11 @@ def run_verification(
         raise DomainTooSmall(f"n must be at least 1, got {n_from}")
     if n_from > n_to:
         raise DomainTooSmall(f"empty n range {n_from}..{n_to}: nothing to verify")
-    bounds = {"max_n_free": max_n_free, "max_n_diam4": max_n_diam4}
-    if theorem in _BOUNDED:
-        key, oracle = _BOUNDED[theorem]
-        if n_to > bounds[key]:
-            enumeration.check_bound(max(n_from, bounds[key] + 1), bounds[key], oracle)
+    guard = enumeration.class_bound(_CAMPAIGNS[theorem][0], max_n_free, max_n_diam4)
+    if guard is not None and n_to > guard[0]:
+        enumeration.check_bound(max(n_from, guard[0] + 1), *guard)
     start = time.monotonic()
-    ns = list(range(n_from, n_to + 1))
-    tasks = [(theorem, n, bounds) for n in ns]
+    tasks = [(theorem, n, max_n_free, max_n_diam4) for n in range(n_from, n_to + 1)]
     report = VerificationReport(theorem=theorem)
     if jobs > 1 and len(tasks) > 1:
         # Imported here, so a serial run never loads multiprocessing.

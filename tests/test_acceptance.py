@@ -27,7 +27,7 @@ from revwiener.closed_forms import (
     qr_decompose,
     second_smallest,
 )
-from revwiener.enumeration import RankEntry, gen_free_trees, min_lambda_diam
+from revwiener.enumeration import RankEntry, gen_free_trees, rank_trees
 from revwiener.families import (
     DoubleStarSpec,
     build,
@@ -87,7 +87,7 @@ def test_criterion_4_the_tie_at_n_57(diam4_minima):
     assert set(entry.trees) == _codes([normalize(0, [(7, 7)]), normalize(0, [(6, 8)])])
     # Exhaustive over the diameter-3 classes (double stars) on 57 vertices.
     balanced = canonical_code(double_star(DoubleStarSpec(n=57, a=28)))
-    assert min_lambda_diam(57, 3) == RankEntry(value=896, trees=(balanced,))
+    assert rank_trees(57, 1, 3)[0] == RankEntry(value=896, trees=(balanced,))
     # Closed forms agree, and the combined tie set has three distinct trees.
     assert f_n3(57) == f_n4_value(57) == 896
     tie = second_smallest(57)

@@ -227,6 +227,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "prop-f4")
         assert code == EXIT_USAGE and "error:" in err
 
+    @pytest.mark.parametrize("span", [["--n-from", "1", "--n-to", "3"], ["--n-from", "1"], ["--n-to", "3"]])
+    def test_n_with_a_range_flag_is_usage(self, capsys, span):
+        # --n alone names the range; a range flag beside it would be ignored.
+        code, out, err = run(capsys, "verify", "smallest", "--n", "5", *span)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: verify takes --n or --n-from/--n-to, not both\n"
+
     @pytest.mark.parametrize("theorem", ["smallest", "prop-d3", "prop-f4"])
     def test_empty_range_is_usage(self, capsys, theorem):
         # A campaign that checks nothing must not pass.

@@ -23,9 +23,7 @@ from revwiener.enumeration import (
     free_tree_level_sequences,
     gen_diam4_specs,
     gen_free_trees,
-    min_lambda_diam,
     rank_trees,
-    second_min_lambda_diam,
 )
 from revwiener.errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
 from revwiener.families import Diam4Spec, DoubleStarSpec, diam4, double_star, lambda_diam4_closed, star
@@ -228,7 +226,7 @@ class TestDiam4Specs:
         counts = _diam4_class_counts(30)
         for n in range(5, 31):
             built.clear()
-            min_lambda_diam(n, 4)
+            rank_trees(n, 1, 4)
             assert len(built) == counts[n], n
 
     @pytest.mark.parametrize("n", range(5, 31))
@@ -368,6 +366,14 @@ class TestRankTrees:
             rank_trees(n, k)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("diameter", [None, 3])
+    @pytest.mark.parametrize("tie_cap", [0, -2])
+    def test_tie_cap_below_one(self, diameter, tie_cap):
+        # A tie set capped at no trees would be a ranking that names none.
+        with pytest.raises(DomainTooSmall) as exc:
+            rank_trees(6, 3, diameter, tie_cap=tie_cap)
+        assert str(exc.value) == f"tie_cap must be at least 1, got {tie_cap}"
+
 
 class TestVisitCount:
     # perfbench counts trees_visited by wrapping the module-global generator
@@ -389,7 +395,7 @@ class TestVisitCount:
         assert len(visited) == FREE_TREE_COUNTS[n - 1]
         if n >= 6:
             visited.clear()
-            min_lambda_diam(n, 5)
+            rank_trees(n, 1, 5)
             assert len(visited) == FREE_TREE_COUNTS[n - 1]
 
 
@@ -486,49 +492,60 @@ class TestClassExtrema:
         expected = [(value, tuple(sorted(codes)), False) for value, codes in sorted(_by_diameter(n)[d].items())[:3]]
         entries = rank_trees(n, 3, diameter=d)
         assert [(e.value, e.trees, e.truncated) for e in entries] == expected
-        assert min_lambda_diam(n, d) == entries[0]
+        assert rank_trees(n, 1, d)[0] == entries[0]
         if len(entries) > 1:
-            assert second_min_lambda_diam(n, d) == entries[1]
+            assert rank_trees(n, 2, d)[1] == entries[1]
         else:
-            with pytest.raises(EmptyClass):
-                second_min_lambda_diam(n, d)
+            assert len(rank_trees(n, 2, d)) == 1
 
     def test_diam4_route_reports_specs(self):
         # The oracle's codes are those of every class that has its value.
         by_value: dict[int, set] = {}
         for spec in gen_diam4_specs(30):
             by_value.setdefault(reverse_wiener(diam4(spec)), set()).add(canonical_code(diam4(spec)))
-        for oracle, (value, codes) in zip((min_lambda_diam, second_min_lambda_diam), sorted(by_value.items())):
-            entry = oracle(30, 4)
+        for k, (value, codes) in zip((1, 2), sorted(by_value.items())):
+            entry = rank_trees(30, k, 4)[k - 1]
             assert (entry.value, entry.trees, entry.truncated) == (value, tuple(sorted(codes)), False)
 
     def test_diam3_route_serves_any_n(self):
         # Each value is attained by one double star, at any n.
-        balanced = min_lambda_diam(57, 3)
+        balanced = rank_trees(57, 1, 3)[0]
         assert (balanced.value, balanced.trees) == (896, (canonical_code(double_star(DoubleStarSpec(n=57, a=28))),))
-        second = second_min_lambda_diam(57, 3)
+        second = rank_trees(57, 2, 3)[1]
         assert (second.value, second.trees) == (898, (canonical_code(double_star(DoubleStarSpec(n=57, a=27))),))
-        far = min_lambda_diam(200, 3)
+        far = rank_trees(200, 1, 3)[0]
         assert (far.value, far.trees) == (f_n3(200), (canonical_code(double_star(DoubleStarSpec(n=200, a=100))),))
         # No free-tree bound applies to the double stars.
         assert [e.value for e in rank_trees(57, 2, diameter=3, max_n_free=5)] == [896, 898]
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
-            min_lambda_diam(4, 4)  # no diameter-4 tree on 4 vertices
-        with pytest.raises(EmptyClass):
-            second_min_lambda_diam(5, 4)  # P_5 is the only one on 5
+            rank_trees(4, 1, 4)  # no diameter-4 tree on 4 vertices
+        assert len(rank_trees(5, 2, 4)) == 1  # P_5 is the only one on 5
         for d in (1, 8):  # outside 2..n-1
             with pytest.raises(EmptyClass):
                 rank_trees(8, 2, diameter=d)
             with pytest.raises(EmptyClass):
-                min_lambda_diam(8, d)
+                rank_trees(8, 1, d)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            min_lambda_diam(100, 4, max_n_diam4=80)
+            rank_trees(100, 1, 4, max_n_diam4=80)
         with pytest.raises(BoundExceeded):
-            min_lambda_diam(25, 5)
+            rank_trees(25, 1, 5)
+
+    @pytest.mark.parametrize("diameter", [None, 2, 3, 4, 5])
+    def test_class_bound_is_the_bound_rank_trees_enforces(self, diameter):
+        guard = enumeration.class_bound(diameter, 8, 10)
+        if guard is None:
+            # No bound: well past both, the class still ranks.
+            assert rank_trees(11, 1, diameter, max_n_free=8, max_n_diam4=10)
+            return
+        bound, oracle = guard
+        with pytest.raises(BoundExceeded) as exc:
+            rank_trees(bound + 1, 1, diameter, max_n_free=8, max_n_diam4=10)
+        assert str(exc.value) == f"n={bound + 1} exceeds {oracle} bound {bound}"
+        assert rank_trees(bound, 1, diameter, max_n_free=8, max_n_diam4=10)
 
 
 # --- references: rooted successor plus skip, and a reverse metrics pass -------------

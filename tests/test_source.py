@@ -97,22 +97,32 @@ def test_enumeration_is_independent_of_the_closed_forms():
     assert not {name for name in imported if name.rpartition(".")[2] == "closed_forms"}
 
 
-def test_verify_reads_no_private_enumeration_name():
-    # verify asks the oracles through their public entry points only.
+def _enumeration_names_verify_reads():
+    """Attributes verify reads off the enumeration module, and names it imports from it."""
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
-    private = {
+    read = {
         node.attr
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "enumeration"
-        and node.attr.startswith("_")
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "enumeration"
     }
-    private.update(
+    read.update(
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "enumeration"
         for alias in node.names
-        if alias.name.startswith("_")
     )
+    return read
+
+
+def test_verify_reads_no_private_enumeration_name():
+    # verify asks the oracles through their public entry points only.
+    private = {name for name in _enumeration_names_verify_reads() if name.startswith("_")}
     assert not private, f"verify reads private enumeration names: {sorted(private)}"
+
+
+def test_verify_reads_the_oracles_through_rank_trees_alone():
+    # Every campaign asks one question of one oracle, so verify reads only the
+    # ranking, the bound rule that guards it and the default bounds.
+    read = _enumeration_names_verify_reads()
+    extra = {name for name in read - {"rank_trees", "class_bound", "check_bound"} if not name.startswith("DEFAULT_")}
+    assert "rank_trees" in read and not extra, f"verify reads other enumeration names: {sorted(extra)}"
