@@ -12,12 +12,14 @@ decoding of every labeled tree, and leaf attachment deduplicated by
 canonical code.
 
 The pass can skip trees by center height h = max(levels), while still
-drawing every tree from the generator: it then resumes at the smaller of
-the pivot and the lowest pivot of the trees it skipped.  Over all trees,
-an exact max-Wiener dynamic programme by height (Jordan's center theorem
+drawing every tree from the generator: it reads h off the pivot, so a
+skipped tree costs one comparison, and resumes at the smaller of the
+pivot and the lowest pivot of the trees it skipped.  Over all trees, an
+exact max-Wiener dynamic programme by height (Jordan's center theorem
 and the edge-cut sum, none of the paper's lemmas) bounds the reverse
 Wiener index of each height from below, and rank_trees skips the heights
-whose bound exceeds a cutoff seeded from the star and the double stars.
+whose bound exceeds a cutoff seeded from every tree of center height at
+most 2: the star, the double stars and the diameter-4 classes.
 Two checks back the pruning: a walked tree must meet its height's bound,
 and the kept values must reach k and end at or below the cutoff.  A
 diameter class walks only its own center height.
@@ -31,7 +33,8 @@ The diameter-4 oracle walks the classes as integer partitions in one
 generator frame: one run of equal parts per level of an explicit stack,
 and the last two runs (blocks of 3, then of 2) as one closed loop.  The
 reverse Wiener index is additive over the runs, so each class gets it
-from a few integer operations instead of a closed-form call.
+from a few integer operations instead of a closed-form call.  A class is
+yielded as its value, n0 and parts; callers build the spec.
 
 Everything is streamed; nothing materializes a full class.
 """
@@ -69,6 +72,22 @@ def class_bound(
     if diameter == 4:
         return max_n_diam4, "diameter-4"
     return max_n_free, "free-tree"
+
+
+def check_class(n: int, diameter: int | None, guard: tuple[int, str] | None = None) -> None:
+    """The argument rule of an oracle over the trees on n vertices, or one diameter class of them.
+
+    Raise DomainTooSmall for n below 1, then EmptyClass if no tree on n
+    vertices has ``diameter`` (0 at n = 1, 1 at n = 2, 2..n-1 from n = 3;
+    None stands for all trees), then BoundExceeded for n past ``guard``
+    from class_bound.
+    """
+    if n < 1:
+        raise DomainTooSmall(f"n must be at least 1, got {n}")
+    if diameter is not None and not min(2, n - 1) <= diameter <= n - 1:
+        raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
+    if guard is not None:
+        check_bound(n, *guard)
 
 
 # --- level-sequence machinery -------------------------------------------------
@@ -199,14 +218,6 @@ def _levels_to_tree(levels: list[int]) -> Tree:
     return from_edge_list(len(levels), [(parent[i], i) for i in range(1, len(levels))])
 
 
-def _check_n(n: int, guard: tuple[int, str] | None) -> None:
-    """Raise DomainTooSmall for n below 1, and BoundExceeded for n past ``guard`` from class_bound."""
-    if n < 1:
-        raise DomainTooSmall(f"n must be at least 1, got {n}")
-    if guard is not None:
-        check_bound(n, *guard)
-
-
 def _free_tree_metrics(
     n: int, max_n: int = DEFAULT_MAX_N_FREE, floors: dict[int, int] | None = None
 ) -> Iterator[tuple[list[int], int, int]]:
@@ -225,24 +236,31 @@ def _free_tree_metrics(
 
     Given ``floors``, only the trees whose center height h = max(levels)
     is a key are walked and yielded; every other tree is still drawn from
-    the generator but runs no pass.  A walked tree whose reverse Wiener
+    the generator but runs no pass.  The height is read off the pivot: a
+    level sequence starts 0, 1, ..., h, and its successor keeps every index
+    before the pivot and is smaller at the pivot, so h can change only when
+    the pivot is at most h.  Only then is max(levels) taken, and a skipped
+    tree otherwise costs one comparison.  A walked tree whose reverse Wiener
     index falls below ``floors[h]`` raises InternalCheckFailed.  The kept
     state stays correct through a valid prefix: the state at index i
     matches the current sequence for every i up to ``valid``.  A skipped
     tree lowers ``valid`` to its pivot, and the next walked tree starts at
     the smaller of its own pivot and ``valid``.
     """
-    _check_n(n, class_bound(None, max_n))
+    check_class(n, None, class_bound(None, max_n))
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
     stack[1] = (1, 0, 0, None)
     pairs = n * (n - 1) // 2
-    # Read through the module global, so a wrapper installed there sees every tree.
     valid = n
+    height = 0
+    # Read through the module global, so a wrapper installed there sees every tree.
     for levels, pivot in free_tree_level_sequences(n):
         if floors is not None:
-            floor = floors.get(max(levels))
+            if pivot <= height:
+                height = max(levels)
+            floor = floors.get(height)
             if floor is None:
                 if pivot < valid:
                     valid = pivot
@@ -288,7 +306,7 @@ def _free_tree_metrics(
         lam = pairs * d - w
         if floors is not None and lam < floor:
             raise InternalCheckFailed(
-                f"a tree of center height {max(levels)} on {n} vertices has reverse Wiener index {lam},"
+                f"a tree of center height {height} on {n} vertices has reverse Wiener index {lam},"
                 f" below the height bound {floor}"
             )
         yield levels, d, lam
@@ -342,12 +360,15 @@ def _height_floors(n: int) -> dict[int, int]:
 
 
 def _seeded_cutoff(n: int, k: int) -> int | None:
-    """The k-th smallest distinct reverse Wiener index among the star and the double stars.
+    """The k-th smallest distinct reverse Wiener index over the trees of center height <= 2.
 
-    The star K(1,n-1) has n - 1 (for n >= 3); the double stars come from
-    _diam3_classes.  None when they give fewer than k distinct values.
+    These are the star K(1,n-1), with n - 1 (for n >= 3), the double stars
+    from _diam3_classes and the diameter-4 classes from _diam4_classes,
+    whose values are read without building a spec.  None when they give
+    fewer than k distinct values.
     """
     values = {lam for lam, _ in _diam3_classes(n)}
+    values.update(lam for lam, _, _ in _diam4_classes(n))
     if n >= 3:
         values.add(n - 1)
     return sorted(values)[k - 1] if len(values) >= k else None
@@ -359,10 +380,12 @@ def _seeded_cutoff(n: int, k: int) -> int | None:
 def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None = None) -> Iterator[Tree]:
     """Exactly one representative tree per isomorphism class on n vertices.
 
-    Given ``diameter``, only the classes of that diameter: the metrics pass
-    walks only the trees of center height (diameter + 1) // 2, reads d off
-    each, and only the kept trees are built.
+    Given ``diameter``, only the classes of that diameter, which must occur
+    on n vertices (else EmptyClass, see check_class): the metrics pass walks
+    only the trees of center height (diameter + 1) // 2, reads d off each,
+    and only the kept trees are built.
     """
+    check_class(n, diameter)
     for levels, d, _ in _free_tree_metrics(n, max_n, _height_filter(diameter)):
         if diameter is None or d == diameter:
             yield _levels_to_tree(levels)
@@ -422,8 +445,11 @@ def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:
         yield pairs * 3 - w, [0, 1] + [2] * (a - 1) + [1] * (n - a - 1)
 
 
-def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
-    """(reverse Wiener index, spec) for every diameter-4 class on n vertices.
+def _diam4_classes(n: int) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """(reverse Wiener index, n0, parts) for every diameter-4 class on n vertices.
+
+    ``Diam4Spec(n0, parts)`` is the class; the walk builds no spec itself,
+    so a caller that needs only the values pays for none.
 
     For each hub pendant count n0, the other n - 1 - n0 vertices split into
     at least two blocks of c = v + 1 vertices (a spoke and its v leaves).
@@ -434,7 +460,7 @@ def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
     blocks.  The last two runs, blocks of 3 and then blocks of 2, are one
     closed loop, since the blocks of 2 must fill what the blocks of 3
     leave.  So the whole walk runs in one generator frame, and a class
-    costs a few integer operations and the one spec it yields.
+    costs a few integer operations and the parts tuple it yields.
 
     The index is additive over blocks.  Counting a hub pendant as a block
     with v = 0, it is 3(n - 1) plus (n - 2) + v^2 per block, which is
@@ -460,7 +486,7 @@ def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
                 left = rest - b * c
                 lam = base + b * (m + v * v)
                 if left == 0:
-                    yield lam, Diam4Spec(n0, ((v, b),) + parts)
+                    yield lam, n0, ((v, b),) + parts
                 elif left > 1:  # a leftover of 1 cannot be a block
                     stack.append((rest, c, b - 1, base, parts))
                     rest, base, parts = left, lam, ((v, b),) + parts
@@ -473,11 +499,11 @@ def _diam4_classes(n: int) -> Iterator[tuple[int, Diam4Spec]]:
                     left = rest - 3 * b
                     lam = base + b * (m + 4)
                     if left == 0:
-                        yield lam, Diam4Spec(n0, ((2, b),) + parts)
+                        yield lam, n0, ((2, b),) + parts
                     elif left % 2 == 0:
-                        yield lam + left // 2 * (m + 1), Diam4Spec(n0, ((1, left // 2), (2, b)) + parts)
+                        yield lam + left // 2 * (m + 1), n0, ((1, left // 2), (2, b)) + parts
             if rest % 2 == 0:
-                yield base + rest // 2 * (m + 1), Diam4Spec(n0, ((1, rest // 2),) + parts)
+                yield base + rest // 2 * (m + 1), n0, ((1, rest // 2),) + parts
             if not stack:
                 break
             rest, c, b, base, parts = stack.pop()
@@ -491,10 +517,9 @@ def gen_diam4_specs(n: int) -> Iterator[Diam4Spec]:
     classes.  The stream runs n0 ascending, then the partitions in reverse
     lexicographic order, as _diam4_classes walks them.
     """
-    if n < 1:
-        raise DomainTooSmall(f"n must be at least 1, got {n}")
-    for _, spec in _diam4_classes(n):
-        yield spec
+    check_class(n, None)
+    for _, n0, parts in _diam4_classes(n):
+        yield Diam4Spec(n0, parts)
 
 
 # --- ranking --------------------------------------------------------------------
@@ -568,15 +593,17 @@ def rank_trees(
     """The k smallest distinct reverse-Wiener values over the free trees on n vertices.
 
     Given ``diameter``, over the trees of that diameter alone, which must
-    lie in 2..n-1 (else ``EmptyClass``): the double stars serve d = 3 at
-    any n, the partition walk d = 4 up to ``max_n_diam4``, and the
-    free-tree walk filtered on d the rest, which walks only the trees of
-    center height (d + 1) // 2.  A class with fewer than k distinct values
+    occur on n vertices (else ``EmptyClass``, see check_class): the double
+    stars serve d = 3 at any n, the partition walk d = 4 up to
+    ``max_n_diam4``, with one Diam4Spec built per class, and the free-tree
+    walk filtered on d the rest, which walks only the trees of center
+    height (d + 1) // 2.  A class with fewer than k distinct values
     gives fewer entries.  ``k`` or ``tie_cap`` below 1 raises DomainTooSmall.
 
-    Over all trees, when the star and the double stars give at least k
-    distinct values, the k-th smallest of them is a cutoff V: the walk
-    skips every center height h whose bound B(h) from _height_floors
+    Over all trees, when the trees of center height <= 2 (the star, the
+    double stars and the diameter-4 classes) give at least k distinct
+    values, the k-th smallest of them is a cutoff V (_seeded_cutoff): the
+    walk skips every center height h whose bound B(h) from _height_floors
     exceeds V, since no tree there can reach the k smallest values or tie
     with them.  It raises InternalCheckFailed if a walked tree falls below
     its B(h), or if the kept values are fewer than k or the k-th exceeds V;
@@ -586,9 +613,7 @@ def rank_trees(
         raise DomainTooSmall(f"k must be at least 1, got {k}")
     if tie_cap < 1:
         raise DomainTooSmall(f"tie_cap must be at least 1, got {tie_cap}")
-    if diameter is not None and not 2 <= diameter <= n - 1:
-        raise EmptyClass(f"no tree on {n} vertices has diameter {diameter}")
-    _check_n(n, class_bound(diameter, max_n_free, max_n_diam4))
+    check_class(n, diameter, class_bound(diameter, max_n_free, max_n_diam4))
     tree_of, copy, cutoff = None, list, None
     if diameter is None:
         cutoff = _seeded_cutoff(n, k)
@@ -597,7 +622,8 @@ def rank_trees(
     elif diameter == 3:
         pairs, copy = _diam3_classes(n), None
     elif diameter == 4:
-        pairs, tree_of, copy = _diam4_classes(n), diam4, None
+        pairs = ((lam, Diam4Spec(n0, parts)) for lam, n0, parts in _diam4_classes(n))
+        tree_of, copy = diam4, None
     else:
         walk = _free_tree_metrics(n, max_n_free, _height_filter(diameter))
         pairs = ((lam, levels) for levels, d, lam in walk if d == diameter)

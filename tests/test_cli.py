@@ -131,6 +131,26 @@ class TestEnumerate:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--diameter", "9"],
+        ["--n", "6", "--diameter", "1"],
+        ["--n", "5", "--diameter", "-1"],
+        # The diameter-4 spec route past the free-tree bound keeps the same rule.
+        ["--n", "3", "--diameter", "4", "--max-n-free", "2"],
+        # The class rule comes before the bound.
+        ["--n", "30", "--diameter", "40"],
+    ])
+    def test_diameter_that_no_tree_has_is_usage(self, capsys, argv):
+        n, d = int(argv[1]), int(argv[3])
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: no tree on {n} vertices has diameter {d}\n"
+
+    @pytest.mark.parametrize("n, d", [(1, 0), (2, 1)])
+    def test_diameter_of_the_smallest_trees(self, capsys, n, d):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--diameter", str(d), "--format", "structured")
+        assert code == EXIT_OK and json.loads(out)["count"] == 1
+
 
 class TestRank:
     def test_human(self, capsys):

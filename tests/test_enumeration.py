@@ -53,7 +53,12 @@ class TestFreeTrees:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_diameter_filter_matches_built_trees(self, n):
         trees = list(gen_free_trees(n))
+        occurring = {diameter_and_centers(t)[0] for t in trees}
         for d in range(-1, n + 1):
+            if d not in occurring:
+                with pytest.raises(EmptyClass, match=rf"^no tree on {n} vertices has diameter {d}$"):
+                    list(gen_free_trees(n, diameter=d))
+                continue
             kept = [t.edges for t in gen_free_trees(n, diameter=d)]
             assert kept == [t.edges for t in trees if diameter_and_centers(t)[0] == d], d
 
@@ -211,7 +216,8 @@ class TestDiam4Specs:
 
     @pytest.mark.parametrize("n", range(5, 31))
     def test_walk_matches_run_by_run_recursion(self, n):
-        assert list(_diam4_classes(n)) == list(_run_by_run_classes(n))
+        expected = [(lam, spec.n0, spec.parts) for lam, spec in _run_by_run_classes(n)]
+        assert list(_diam4_classes(n)) == expected
 
     def test_min2_builds_one_spec_per_class(self, monkeypatch):
         # The traced benchmark counts Diam4Spec calls made through the
@@ -229,9 +235,20 @@ class TestDiam4Specs:
             rank_trees(n, 1, 4)
             assert len(built) == counts[n], n
 
+    def test_ranking_all_trees_builds_no_spec(self, monkeypatch):
+        # The cutoff reads the diameter-4 values alone, and the traced
+        # benchmark requires no Diam4Spec call on the free-tree workloads.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the all-trees ranking built a Diam4Spec")
+
+        monkeypatch.setattr(enumeration, "Diam4Spec", refuse)
+        for n in range(5, 19):
+            rank_trees(n, 50)
+
     @pytest.mark.parametrize("n", range(5, 31))
     def test_carried_lambda_matches_closed_form(self, n):
-        for lam, spec in _diam4_classes(n):
+        for lam, n0, parts in _diam4_classes(n):
+            spec = Diam4Spec(n0, parts)
             assert lam == lambda_diam4_closed(spec)
             if n <= 14:
                 assert lam == reverse_wiener(diam4(spec))
@@ -244,7 +261,7 @@ class TestDiam4Specs:
                 by_value.setdefault(lambda_diam4_closed(spec), []).append(spec)
             smallest = sorted(by_value.items())[:2]
             expected = [(v, [specs[:tie_cap], len(specs) > tie_cap]) for v, specs in smallest]
-            buckets = _Buckets(2, tie_cap).fill(_diam4_classes(n))
+            buckets = _Buckets(2, tie_cap).fill((lam, Diam4Spec(n0, parts)) for lam, n0, parts in _diam4_classes(n))
             assert sorted(buckets.data.items()) == expected, n
 
 
@@ -434,9 +451,35 @@ class TestHeightBound:
         for n in range(6, 19):
             cutoff = _seeded_cutoff(n, 3)
             assert [h for h, b in _height_floors(n).items() if b <= cutoff] == [1, 2], n
-        # n = 17 seeds only 8 values: the star and 7 double stars.
-        assert _seeded_cutoff(17, 8) is not None
-        assert _seeded_cutoff(17, 9) is None
+        # n = 17 seeds 57 distinct values: the star, the double stars and the diameter-4 classes.
+        assert _seeded_cutoff(17, 57) is not None
+        assert _seeded_cutoff(17, 58) is None
+
+    def test_k50_keeps_heights_one_to_three(self):
+        assert _seeded_cutoff(17, 50) == 230
+        for n in range(14, 23, 2):
+            cutoff = _seeded_cutoff(n, 50)
+            assert [h for h, b in _height_floors(n).items() if b <= cutoff] == [1, 2, 3], n
+        # Fewer than 50 distinct seeds at n = 15: the walk stays unpruned.
+        assert _seeded_cutoff(15, 50) is None
+
+    def test_seeds_are_the_trees_of_center_height_at_most_two(self):
+        # From n = 3 on, where the star K(1,n-1) has center height 1 and value n - 1.
+        for n in range(3, 17):
+            values = sorted({lam for levels, _, lam in _free_tree_metrics(n) if max(levels) <= 2})
+            for k in range(1, len(values) + 2):
+                assert _seeded_cutoff(n, k) == (values[k - 1] if k <= len(values) else None), (n, k)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_height_filter_walks_exactly_its_height(self, n):
+        # The height is read off the pivot; a filter on one height must keep
+        # exactly the unfiltered walk's trees of that height, in its order.
+        by_height: dict[int, list] = {}
+        for levels, d, lam in _free_tree_metrics(n):
+            by_height.setdefault(max(levels), []).append((tuple(levels), d, lam))
+        for h in range(n // 2 + 2):
+            walked = [(tuple(levels), d, lam) for levels, d, lam in _free_tree_metrics(n, floors={h: 0})]
+            assert walked == by_height.get(h, []), h
 
     def test_understated_max_wiener_raises(self, monkeypatch):
         # B(2) raised to the third smallest value: height 2 is still walked,
@@ -527,6 +570,30 @@ class TestClassExtrema:
                 rank_trees(8, 2, diameter=d)
             with pytest.raises(EmptyClass):
                 rank_trees(8, 1, d)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_class_rule_is_the_diameters_that_occur(self, n):
+        # K_1 has diameter 0 and K_2 diameter 1; from n = 3 on, 2..n-1 occur.
+        occurring = {diameter_and_centers(t)[0] for t in gen_free_trees(n)}
+        for d in range(-1, n + 2):
+            if d in occurring:
+                assert len(rank_trees(n, 1, d)) == 1, d
+            else:
+                with pytest.raises(EmptyClass, match=rf"^no tree on {n} vertices has diameter {d}$"):
+                    rank_trees(n, 1, d)
+        assert [e.value for e in rank_trees(2, 1, 1)] == [0]
+        assert [e.value for e in rank_trees(1, 1, 0)] == [0]
+
+    def test_class_rule_comes_between_n_and_the_bound(self):
+        # n below 1 first, then the class rule, then the bound.
+        with pytest.raises(DomainTooSmall):
+            rank_trees(0, 1, 5)
+        with pytest.raises(EmptyClass):
+            rank_trees(30, 1, 40)
+        with pytest.raises(EmptyClass):
+            list(gen_free_trees(30, diameter=40))
+        with pytest.raises(BoundExceeded):
+            rank_trees(30, 1, 5)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
