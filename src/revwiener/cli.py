@@ -34,7 +34,9 @@ def _tie_cap_from_env(k: int) -> int:
     try:
         budget = int(raw)
     except ValueError:
-        raise SpecParseError(f"{MAX_MEM_ENV} must be an integer byte count, got {raw!r}")
+        budget = -1
+    if budget < 0:
+        raise SpecParseError(f"{MAX_MEM_ENV} must be a nonnegative integer byte count, got {raw!r}")
     # A kept tree costs on the order of 256 bytes: one level sequence while
     # the walk runs, one canonical code once it ends, for the kept trees
     # only.  Split the budget evenly across the k value buckets.

@@ -20,14 +20,14 @@ and the edge-cut sum, none of the paper's lemmas) bounds the reverse
 Wiener index of each height from below, and rank_trees skips the heights
 whose bound exceeds a cutoff seeded from every tree of center height at
 most 2: the star, the double stars and the diameter-4 classes.
-Two checks back the pruning: a walked tree must meet its height's bound,
-and the kept values must reach k and end at or below the cutoff.  A
-diameter class walks only its own center height.
+Every walked tree must meet its height's bound, over all trees or in a
+diameter class, which walks only its own center height; a pruned ranking
+must also keep k values, the k-th at or below the cutoff.
 
 The diameter-3 oracle yields each double star as a level sequence with
-its reverse Wiener index from a W/d fold over the sequence's four runs of
-equal levels, in O(1) per class; callers build trees only for the values
-they keep.
+its reverse Wiener index from the W/d fold of tree over its two hubs,
+each hub's leaves folded in as a count, in O(1) per class; callers build
+trees only for the values they keep.
 
 The diameter-4 oracle walks the classes as integer partitions in one
 generator frame: one run of equal parts per level of an explicit stack,
@@ -47,7 +47,7 @@ from typing import Iterator
 
 from .errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
 from .families import Diam4Spec, diam4
-from .tree import Tree, canonical_code, from_edge_list
+from .tree import Tree, canonical_code, from_edge_list, wiener_diameter_fold
 
 DEFAULT_MAX_N_FREE = 22
 DEFAULT_MAX_N_DIAM4 = 80
@@ -234,20 +234,23 @@ def _free_tree_metrics(
     a tree costs the indices from its pivot on plus closing the stack,
     which is O(height).
 
-    Given ``floors``, only the trees whose center height h = max(levels)
-    is a key are walked and yielded; every other tree is still drawn from
-    the generator but runs no pass.  The height is read off the pivot: a
-    level sequence starts 0, 1, ..., h, and its successor keeps every index
-    before the pivot and is smaller at the pivot, so h can change only when
-    the pivot is at most h.  Only then is max(levels) taken, and a skipped
-    tree otherwise costs one comparison.  A walked tree whose reverse Wiener
-    index falls below ``floors[h]`` raises InternalCheckFailed.  The kept
-    state stays correct through a valid prefix: the state at index i
-    matches the current sequence for every i up to ``valid``.  A skipped
-    tree lowers ``valid`` to its pivot, and the next walked tree starts at
-    the smaller of its own pivot and ``valid``.
+    ``floors`` maps each center height h = max(levels) to walk to its
+    bound B(h) from _height_floors, by default every height.  Only the trees
+    of those heights are walked and yielded; every other tree is still
+    drawn from the generator but runs no pass.  The height is read off the
+    pivot: a level sequence starts 0, 1, ..., h, and its successor keeps
+    every index before the pivot and is smaller at the pivot, so h can
+    change only when the pivot is at most h.  Only then is max(levels)
+    taken, and a skipped tree otherwise costs one comparison.  A walked
+    tree whose reverse Wiener index falls below B(h) raises
+    InternalCheckFailed.  The kept state stays correct through a valid
+    prefix: the state at index i matches the current sequence for every i
+    up to ``valid``.  A skipped tree lowers ``valid`` to its pivot, and the
+    next walked tree starts at the smaller of its own pivot and ``valid``.
     """
     check_class(n, None, class_bound(None, max_n))
+    if floors is None:
+        floors = _height_floors(n)
     stack: list = [None] * (n + 1)
     ws = [0] * (n + 1)
     ds = [0] * (n + 1)
@@ -257,14 +260,13 @@ def _free_tree_metrics(
     height = 0
     # Read through the module global, so a wrapper installed there sees every tree.
     for levels, pivot in free_tree_level_sequences(n):
-        if floors is not None:
-            if pivot <= height:
-                height = max(levels)
-            floor = floors.get(height)
-            if floor is None:
-                if pivot < valid:
-                    valid = pivot
-                continue
+        if pivot <= height:
+            height = max(levels)
+        floor = floors.get(height)
+        if floor is None:
+            if pivot < valid:
+                valid = pivot
+            continue
         start = (pivot if pivot < valid else valid) or 1
         valid = n
         node, w, d = stack[start], ws[start], ds[start]
@@ -304,21 +306,12 @@ def _free_tree_metrics(
         if a + b > d:
             d = a + b
         lam = pairs * d - w
-        if floors is not None and lam < floor:
+        if lam < floor:
             raise InternalCheckFailed(
                 f"a tree of center height {height} on {n} vertices has reverse Wiener index {lam},"
                 f" below the height bound {floor}"
             )
         yield levels, d, lam
-
-
-def _height_filter(diameter: int | None) -> dict[int, int] | None:
-    """Floors that walk only the center height a tree of ``diameter`` has, with the bound 0.
-
-    A tree of diameter d has center height (d + 1) // 2, and its reverse
-    Wiener index is never negative, since no distance exceeds d.
-    """
-    return None if diameter is None else {(diameter + 1) // 2: 0}
 
 
 def _max_wiener_by_height(n: int, height: int) -> list[int | None]:
@@ -345,18 +338,23 @@ def _max_wiener_by_height(n: int, height: int) -> list[int | None]:
     return out
 
 
-def _height_floors(n: int) -> dict[int, int]:
+def _height_floors(n: int, diameter: int | None = None) -> dict[int, int]:
     """B(h) = n(n-1)(2h-1)/2 - maxW(h) per center height h of an n-vertex tree.
 
     A tree of center height h has diameter 2h - 1 or 2h and W <= maxW(h),
-    so its reverse Wiener index n(n-1)d/2 - W is at least B(h).
+    so its reverse Wiener index n(n-1)d/2 - W is at least B(h).  Given
+    ``diameter``, only the height (diameter + 1) // 2 that its trees have.
     """
     pairs = n * (n - 1) // 2
-    return {
+    floors = {
         h: pairs * (2 * h - 1) - w
         for h, w in enumerate(_max_wiener_by_height(n, n // 2))
         if w is not None
     }
+    if diameter is None:
+        return floors
+    h = (diameter + 1) // 2
+    return {h: floors[h]}
 
 
 def _seeded_cutoff(n: int, k: int) -> int | None:
@@ -382,51 +380,13 @@ def gen_free_trees(n: int, max_n: int = DEFAULT_MAX_N_FREE, diameter: int | None
 
     Given ``diameter``, only the classes of that diameter, which must occur
     on n vertices (else EmptyClass, see check_class): the metrics pass walks
-    only the trees of center height (diameter + 1) // 2, reads d off each,
-    and only the kept trees are built.
+    only the trees of center height h = (diameter + 1) // 2, with its bound
+    B(h), reads d off each, and only the kept trees are built.
     """
-    check_class(n, diameter)
-    for levels, d, _ in _free_tree_metrics(n, max_n, _height_filter(diameter)):
+    check_class(n, diameter, class_bound(None, max_n))
+    for levels, d, _ in _free_tree_metrics(n, max_n, _height_floors(n, diameter)):
         if diameter is None or d == diameter:
             yield _levels_to_tree(levels)
-
-
-def _runs_fold(n: int, runs) -> tuple[int, int]:
-    """(W, d) of the tree whose level sequence is given as runs of (level, count).
-
-    The fold of tree.wiener_diameter_fold, taken one run at a time over the
-    runs reversed.  Per level, ``size``, ``top1`` and ``top2`` hold the
-    closed vertices still waiting for their parent: their total size and
-    their two largest heights + 1.  The last vertex of a run closes the
-    children waiting one level below it.  Every other vertex of the run is
-    a leaf of the same parent, so the c - 1 leaves add (c - 1)(n - 1) to W
-    and c - 1 to the parent's size, and offer it height 1.  The last vertex
-    has already offered at least 1, so a leaf can only raise ``top2``, and
-    one offer does what c - 1 would.  The fold costs O(len(runs)).
-    """
-    depth = max(level for level, _ in runs) + 2
-    size = [0] * depth
-    top1 = [0] * depth
-    top2 = [0] * depth
-    w = d = 0
-    for level, c in runs[:0:-1]:
-        below = level + 1
-        s = size[below] + 1
-        a, b = top1[below], top2[below]
-        size[below] = top1[below] = top2[below] = 0
-        if a + b > d:
-            d = a + b
-        w += s * (n - s) + (c - 1) * (n - 1)
-        size[level] += s + c - 1
-        a += 1
-        if a > top1[level]:
-            top2[level] = top1[level]
-            top1[level] = a
-        elif a > top2[level]:
-            top2[level] = a
-        if c > 1 and not top2[level]:
-            top2[level] = 1
-    return w, max(d, top1[1] + top2[1])
 
 
 def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:
@@ -435,11 +395,12 @@ def _diam3_classes(n: int) -> Iterator[tuple[int, list[int]]]:
     The classes are the double stars D(n,a), 2 <= a <= n/2, each rooted at
     the hub of its larger star: the root, the other hub with its a - 1
     leaves, then the root's n - a - 1 leaves.  W and d come from
-    _runs_fold over the sequence's four runs, in O(1) per class.
+    tree.wiener_diameter_fold over the two hubs with their leaves folded
+    in, in O(1) per class.
     """
     pairs = n * (n - 1) // 2
     for a in range(2, n // 2 + 1):
-        w, d = _runs_fold(n, ((0, 1), (1, 1), (2, a - 1), (1, n - a - 1)))
+        w, d = wiener_diameter_fold(n, (0, 1), (-1, 0), (n - a - 1, a - 1))
         if d != 3:
             raise InternalCheckFailed(f"D({n},{a}) as a level sequence has diameter {d}, not 3")
         yield pairs * 3 - w, [0, 1] + [2] * (a - 1) + [1] * (n - a - 1)
@@ -617,7 +578,7 @@ def rank_trees(
     tree_of, copy, cutoff = None, list, None
     if diameter is None:
         cutoff = _seeded_cutoff(n, k)
-        floors = None if cutoff is None else {h: b for h, b in _height_floors(n).items() if b <= cutoff}
+        floors = {h: b for h, b in _height_floors(n).items() if cutoff is None or b <= cutoff}
         pairs = ((lam, levels) for levels, _, lam in _free_tree_metrics(n, max_n_free, floors))
     elif diameter == 3:
         pairs, copy = _diam3_classes(n), None
@@ -625,7 +586,7 @@ def rank_trees(
         pairs = ((lam, Diam4Spec(n0, parts)) for lam, n0, parts in _diam4_classes(n))
         tree_of, copy = diam4, None
     else:
-        walk = _free_tree_metrics(n, max_n_free, _height_filter(diameter))
+        walk = _free_tree_metrics(n, max_n_free, _height_floors(n, diameter))
         pairs = ((lam, levels) for levels, d, lam in walk if d == diameter)
     buckets = _Buckets(k, tie_cap, copy).fill(pairs)
     if cutoff is not None and (len(buckets.data) < k or max(buckets.data) > cutoff):

@@ -42,30 +42,26 @@ class Diam4Spec:
     parts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # One pass accepts a valid spec.  Only an invalid one runs the ordered
-        # checks below, which pick the message: n0, then k, then part by part.
+        # One pass sums k and finds the first faulty part; the checks then
+        # raise in order: n0, then k, then that part.
         k = prev = 0
+        bad = None
         for value, mult in self.parts:
-            if value < 1 or mult < 1 or value <= prev:
-                break
             k += mult
+            if (value < 1 or mult < 1 or value <= prev) and bad is None:
+                bad = value, mult
             prev = value
-        else:
-            if k >= 2 and self.n0 >= 0:
-                return
         if self.n0 < 0:
             raise InvalidSpec(f"n0 must be nonnegative, got {self.n0}")
-        if self.k < 2:
-            raise InvalidSpec(f"need k >= 2 spokes, got k={self.k}")
-        prev = 0
-        for value, mult in self.parts:
+        if k < 2:
+            raise InvalidSpec(f"need k >= 2 spokes, got k={k}")
+        if bad is not None:
+            value, mult = bad
             if value < 1:
                 raise InvalidSpec(f"part value must be >= 1, got {value}")
             if mult < 1:
                 raise InvalidSpec(f"part multiplicity must be >= 1, got {mult}")
-            if value <= prev:
-                raise InvalidSpec(f"part values must be strictly increasing: {self.parts}")
-            prev = value
+            raise InvalidSpec(f"part values must be strictly increasing: {self.parts}")
 
     @property
     def k(self) -> int:

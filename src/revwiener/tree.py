@@ -7,7 +7,8 @@ threads.
 A built tree keeps the BFS from vertex 0 that validated it.  Only
 ``wiener_and_diameter`` and the first sweep of ``diameter_and_centers``
 read it; the other functions run their own searches, so the routes that
-``invariants`` cross-checks stay independent.
+``invariants`` cross-checks stay independent.  The W/d fold also takes a
+bare parent array, with leaf children given as counts per vertex.
 """
 
 from __future__ import annotations
@@ -198,20 +199,28 @@ def wiener_and_diameter(t: Tree) -> tuple[int, int]:
     return wiener_diameter_fold(t.n, order, parent)
 
 
-def wiener_diameter_fold(n: int, order, parent) -> tuple[int, int]:
-    """(W, d) of the tree given by ``parent``, folded over ``order`` reversed.
+def wiener_diameter_fold(n: int, order, parent, leaves=None) -> tuple[int, int]:
+    """(W, d) of the n-vertex tree given by ``parent``, folded over ``order`` reversed.
 
-    ``order`` lists all n vertices, from the root 0, each after its parent
-    (a BFS order, or ``range(n)`` for a level sequence).  Each
+    ``order`` lists the vertices of ``parent``, from the root 0, each after
+    its parent (a BFS order, or ``range(n)`` for a level sequence).  Each
     vertex folds its subtree size s into its parent and adds the edge-cut
     term s(n - s) to W; it also offers its height + 1 to the parent's two
     largest child heights ``top1``, ``top2``.  d is the largest
     top1 + top2 over all vertices.
+
+    Given ``leaves``, vertex u also has ``leaves[u]`` = c leaf children
+    that ``parent`` does not list.  They only set u's starting values: size
+    1 + c, child heights 1 (and 1 again for c >= 2), and n - 1 each in W.
     """
-    size = [1] * n
-    top1 = [0] * n
-    top2 = [0] * n
-    w = d = 0
+    if leaves is None:
+        size, top1, top2, w = [1] * n, [0] * n, [0] * n, 0
+    else:
+        size = [1 + c for c in leaves]
+        top1 = [min(c, 1) for c in leaves]
+        top2 = [int(c > 1) for c in leaves]
+        w = (n - 1) * sum(leaves)
+    d = 0
     for u in order[:0:-1]:
         a = top1[u]
         if a + top2[u] > d:

@@ -182,6 +182,19 @@ class TestRank:
         code, _, err = run(capsys, "rank", "--n", "8", "--k", "1")
         assert code == EXIT_USAGE and "error:" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "-4096"])
+    def test_negative_mem_budget_is_usage(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("REVWIENER_MAX_MEM", budget)
+        code, out, err = run(capsys, "rank", "--n", "8", "--k", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "must be a nonnegative integer byte count" in err
+
+    def test_zero_mem_budget_keeps_one_tree_per_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("REVWIENER_MAX_MEM", "0")
+        code, out, _ = run(capsys, "rank", "--n", "10", "--k", "2", "--format", "structured")
+        assert code == EXIT_OK
+        assert all(len(e["trees"]) == 1 for e in json.loads(out)["entries"])
+
     def test_bound_exceeded(self, capsys):
         code, _, _ = run(capsys, "rank", "--n", "30", "--k", "1")
         assert code == EXIT_BOUND

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 
 import pytest
 
@@ -18,7 +18,6 @@ from revwiener.enumeration import (
     _levels_to_parents,
     _levels_to_tree,
     _max_wiener_by_height,
-    _runs_fold,
     _seeded_cutoff,
     free_tree_level_sequences,
     gen_diam4_specs,
@@ -146,21 +145,26 @@ class TestDiam3Classes:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_runs_fold_matches_vertex_fold_on_free_trees(self, n):
+        # Each run of leaf siblings folded into its parent as a leaf count.
         for levels, _, _ in _free_tree_metrics(n):
-            runs = [(level, len(list(group))) for level, group in groupby(levels)]
-            assert _runs_fold(n, runs) == wiener_diameter_fold(n, range(n), _levels_to_parents(levels)), levels
+            parent = _levels_to_parents(levels)
+            kept = [i for i in range(n) if i == 0 or (i + 1 < n and levels[i + 1] > levels[i])]
+            index = {v: j for j, v in enumerate(kept)}
+            leaves = [0] * len(kept)
+            for i in set(range(n)) - set(kept):
+                leaves[index[parent[i]]] += 1
+            folded = wiener_diameter_fold(n, range(len(kept)), [index.get(parent[v], -1) for v in kept], leaves)
+            assert folded == wiener_diameter_fold(n, range(n), parent), levels
 
     def test_runs_fold_matches_vertex_fold_on_double_stars(self):
         for n in range(4, 201):
             for lam, levels in _diam3_classes(n):
-                runs = [(level, len(list(group))) for level, group in groupby(levels)]
                 w, d = wiener_diameter_fold(n, range(n), _levels_to_parents(levels))
-                assert _runs_fold(n, runs) == (w, d) and d == 3, levels
-                assert lam == n * (n - 1) * 3 // 2 - w, levels
+                assert lam == n * (n - 1) * 3 // 2 - w and d == 3, levels
 
     def test_wrong_diameter_raises(self, monkeypatch):
         # The check must survive `python -O`, so it raises rather than asserts.
-        monkeypatch.setattr(enumeration, "_runs_fold", lambda n, runs: (0, 4))
+        monkeypatch.setattr(enumeration, "wiener_diameter_fold", lambda *args: (0, 4))
         with pytest.raises(InternalCheckFailed):
             list(_diam3_classes(8))
 
@@ -477,9 +481,11 @@ class TestHeightBound:
         by_height: dict[int, list] = {}
         for levels, d, lam in _free_tree_metrics(n):
             by_height.setdefault(max(levels), []).append((tuple(levels), d, lam))
-        for h in range(n // 2 + 2):
-            walked = [(tuple(levels), d, lam) for levels, d, lam in _free_tree_metrics(n, floors={h: 0})]
-            assert walked == by_height.get(h, []), h
+        floors = _height_floors(n)
+        assert sorted(floors) == sorted(by_height)
+        for h, bound in floors.items():
+            walked = [(tuple(levels), d, lam) for levels, d, lam in _free_tree_metrics(n, floors={h: bound})]
+            assert walked == by_height[h], h
 
     def test_understated_max_wiener_raises(self, monkeypatch):
         # B(2) raised to the third smallest value: height 2 is still walked,
@@ -495,6 +501,22 @@ class TestHeightBound:
         )
         with pytest.raises(InternalCheckFailed, match="below the height bound"):
             rank_trees(n, 3)
+
+    def test_understated_max_wiener_raises_in_a_diameter_class(self, monkeypatch):
+        # B(3) raised just past the smallest value of diameter 5, a height-3 class.
+        n = 12
+        smallest = rank_trees(n, 1, 5)[0].value
+        real = enumeration._max_wiener_by_height
+        understated = n * (n - 1) // 2 * 5 - smallest - 1
+        monkeypatch.setattr(
+            enumeration,
+            "_max_wiener_by_height",
+            lambda m, height: [understated if h == 3 else w for h, w in enumerate(real(m, height))],
+        )
+        with pytest.raises(InternalCheckFailed, match="below the height bound"):
+            rank_trees(n, 3, 5)
+        with pytest.raises(InternalCheckFailed, match="below the height bound"):
+            list(gen_free_trees(n, diameter=5))
 
     def test_cutoff_below_the_kept_values_raises(self, monkeypatch, capsys):
         # A seed value too small gives a cutoff below the true third value.
