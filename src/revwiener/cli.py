@@ -103,7 +103,7 @@ def _tree_line(t) -> str:
 def cmd_enumerate(args) -> int:
     n = args.n
     if args.diameter == 4 and n > args.max_n_free:
-        enumeration.check_class(n, 4)
+        enumeration.check_class(n, 4, enumeration.class_bound(4))
         trees = (diam4(s) for s in enumeration.gen_diam4_specs(n))
     else:
         trees = enumeration.gen_free_trees(n, max_n=args.max_n_free, diameter=args.diameter)

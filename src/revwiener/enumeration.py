@@ -12,9 +12,10 @@ decoding of every labeled tree, and leaf attachment deduplicated by
 canonical code.
 
 The pass can skip trees by center height h = max(levels), while still
-drawing every tree from the generator: it reads h off the pivot, so a
-skipped tree costs one comparison, and resumes at the smaller of the
-pivot and the lowest pivot of the trees it skipped.  Over all trees, an
+drawing every tree from the generator: it reads h and its bound off the
+pivot, so a skipped tree costs a pivot comparison, a bound test and a
+lowering of the valid prefix, and resumes at the smaller of the pivot
+and the lowest pivot of the trees it skipped.  Over all trees, an
 exact max-Wiener dynamic programme by height (Jordan's center theorem
 and the edge-cut sum, none of the paper's lemmas) bounds the reverse
 Wiener index of each height from below, and rank_trees skips the heights
@@ -116,6 +117,13 @@ def free_tree_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
     (n if it never does); otherwise c is unbounded.  A step whose rooted
     successor would leave the rest lower than the first subtree, or as
     high but smaller, steps at r, the end of the first subtree, instead.
+
+    Most steps take a short path.  When p lies past h2, c is not n, and
+    the c test does not fire (its depth and tail test fails, where c is
+    already unbounded, or p lies past c), the center condition holds
+    and h1, r, h2 and c stay as they are, so only the copy runs.  When p
+    is the last index, the copy moves that vertex up to its parent's
+    level, without a loop.
     """
     inf = sys.maxsize
     k = n // 2 + 1
@@ -129,6 +137,33 @@ def free_tree_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
     c = n if n % 2 == 0 else inf
     yield levels, 0
     while q >= 0:
+        if p > h2 and c != n and (p > c or levels[h2] != levels[h1] - 1 or n - 1 - h2 != r - h1):
+            # The common step: only the rooted successor's copy runs.
+            pivot = p
+            if p == n - 1:
+                lvl = levels[p] = levels[q]
+                if lvl == 1:
+                    parent[p] = 0
+                    p = n - 2 if levels[n - 2] != 1 else n - 3
+                    q = parent[p]
+                else:
+                    q = parent[p] = parent[q]
+            else:
+                delta = q - p
+                lq, wq = levels[q], parent[q]
+                p = -1
+                for i in range(pivot, n):
+                    lvl = levels[i] = levels[i + delta]
+                    if lvl == 1:
+                        parent[i] = 0
+                    else:
+                        p = i
+                        q = parent[i] = wq if lvl == lq else parent[i + delta] - delta
+                if p < 0:
+                    p = pivot - 1 if levels[pivot - 1] != 1 else pivot - 2
+                    q = parent[p]
+            yield levels, pivot
+            continue
         fixit = needr = needh2 = needc = False
         if c == n or (
             p == h2
@@ -240,8 +275,9 @@ def _free_tree_metrics(
     drawn from the generator but runs no pass.  The height is read off the
     pivot: a level sequence starts 0, 1, ..., h, and its successor keeps
     every index before the pivot and is smaller at the pivot, so h can
-    change only when the pivot is at most h.  Only then is max(levels)
-    taken, and a skipped tree otherwise costs one comparison.  A walked
+    change only when the pivot is at most h.  Only then are max(levels)
+    and its bound looked up, so a skipped tree otherwise costs the pivot
+    comparison, a test that its bound is None and lowering ``valid``.  A walked
     tree whose reverse Wiener index falls below B(h) raises
     InternalCheckFailed.  The kept state stays correct through a valid
     prefix: the state at index i matches the current sequence for every i
@@ -262,7 +298,7 @@ def _free_tree_metrics(
     for levels, pivot in free_tree_level_sequences(n):
         if pivot <= height:
             height = max(levels)
-        floor = floors.get(height)
+            floor = floors.get(height)
         if floor is None:
             if pivot < valid:
                 valid = pivot

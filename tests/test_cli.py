@@ -125,6 +125,15 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "25")
         assert code == EXIT_BOUND and "error:" in err
 
+    def test_diam4_spec_route_has_the_diameter_4_bound(self, capsys, monkeypatch):
+        def walk(n):
+            raise AssertionError("the diameter-4 walk ran past its bound")
+
+        monkeypatch.setattr("revwiener.enumeration._diam4_classes", walk)
+        code, out, err = run(capsys, "enumerate", "--n", "81", "--diameter", "4")
+        assert code == EXIT_BOUND and out == ""
+        assert err == "error: n=81 exceeds diameter-4 bound 80\n"
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_nonpositive_n_is_usage(self, capsys, n):
         code, out, err = run(capsys, "enumerate", "--n", n)
