@@ -1,5 +1,10 @@
 """Command-line surface: stats, construct, enumerate, rank, closed-form, verify.
 
+The CLI parses arguments, maps the library's exceptions to exit codes and
+owns every rendering.  Each subcommand states its result once per format
+(a JSON payload, TSV rows, text lines) and ``_render`` builds and writes
+only the one ``--format`` names; ``construct`` always writes an edge list.
+
 Exit codes: 0 all good / all records match, 1 verification mismatch,
 2 usage or parse error, 3 resource bound exceeded, 4 internal error.
 """
@@ -67,26 +72,32 @@ def _read_tree(path: str):
     return parse_edge_list(text)
 
 
-def cmd_stats(args) -> int:
-    t = _read_tree(args.input)
-    m = metrics(t)
-    payload = {
-        "n": m.n,
-        "wiener": m.wiener,
-        "diameter": m.diameter,
-        "reverse_wiener": m.reverse_wiener,
-        "centers": list(m.centers),
-    }
+def _render(args, structured, tabular, human) -> None:
+    """Build the one representation ``--format`` names and write it.
+
+    Each argument builds a representation when called, so the formats not
+    asked for cost nothing: ``structured`` returns a JSON payload,
+    ``tabular`` TSV rows (sequences of cells), ``human`` text lines.
+    """
     if args.format == "structured":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(structured(), indent=2) + "\n"
     elif args.format == "tabular":
-        keys = ["n", "wiener", "diameter", "reverse_wiener", "centers"]
-        row = "\t".join(str(payload[k]) if k != "centers" else ",".join(map(str, m.centers)) for k in keys)
-        _emit("\t".join(keys) + "\n" + row + "\n", args.out)
+        text = "\n".join("\t".join(map(str, row)) for row in tabular()) + "\n"
     else:
-        lines = [f"{k} = {payload[k]}" for k in ("n", "wiener", "diameter", "reverse_wiener")]
-        lines.append("centers = " + ", ".join(map(str, m.centers)))
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(human()) + "\n"
+    _emit(text, args.out)
+
+
+def cmd_stats(args) -> int:
+    m = metrics(_read_tree(args.input))
+    fields = {"n": m.n, "wiener": m.wiener, "diameter": m.diameter, "reverse_wiener": m.reverse_wiener}
+    _render(
+        args,
+        # The JSON keys stay in sorted order, the other formats in field order.
+        lambda: dict(sorted({**fields, "centers": list(m.centers)}.items())),
+        lambda: [(*fields, "centers"), (*fields.values(), ",".join(map(str, m.centers)))],
+        lambda: [*(f"{k} = {v}" for k, v in fields.items()), "centers = " + ", ".join(map(str, m.centers))],
+    )
     return EXIT_OK
 
 
@@ -96,10 +107,6 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _tree_line(t) -> str:
-    return " ".join(f"{u}-{v}" for u, v in t.edges)
-
-
 def cmd_enumerate(args) -> int:
     n = args.n
     if args.diameter == 4 and n > args.max_n_free:
@@ -107,18 +114,17 @@ def cmd_enumerate(args) -> int:
         trees = (diam4(s) for s in enumeration.gen_diam4_specs(n))
     else:
         trees = enumeration.gen_free_trees(n, max_n=args.max_n_free, diameter=args.diameter)
-    if args.format == "structured":
-        payload = [{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees]
-        _emit(json.dumps({"count": len(payload), "trees": payload}, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        count = 0
-        for t in trees:
-            count += 1
-            lines.append(_tree_line(t))
-        if args.format == "human":
-            lines.append(f"total: {count}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = (" ".join(f"{u}-{v}" for u, v in t.edges) for t in trees)
+
+    def structured():
+        listed = [{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees]
+        return {"count": len(listed), "trees": listed}
+
+    def human():
+        listed = list(lines)
+        return [*listed, f"total: {len(listed)}"]
+
+    _render(args, structured, lambda: ((line,) for line in lines), human)
     return EXIT_OK
 
 
@@ -126,23 +132,23 @@ def cmd_rank(args) -> int:
     entries = enumeration.rank_trees(
         args.n, args.k, max_n_free=args.max_n_free, tie_cap=_tie_cap_from_env(args.k)
     )
-    if args.format == "structured":
-        payload = [
-            {"value": e.value, "trees": list(e.trees), "truncated": e.truncated}
-            for e in entries
-        ]
-        _emit(json.dumps({"n": args.n, "k": args.k, "entries": payload}, indent=2) + "\n", args.out)
-    elif args.format == "tabular":
-        lines = ["rank\tvalue\tties\ttruncated"]
-        for i, e in enumerate(entries, start=1):
-            lines.append(f"{i}\t{e.value}\t{len(e.trees)}\t{int(e.truncated)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = []
-        for i, e in enumerate(entries, start=1):
-            suffix = " (tie set truncated)" if e.truncated else ""
-            lines.append(f"#{i}: value {e.value}, {len(e.trees)} tree(s){suffix}")
-        _emit("\n".join(lines) + "\n", args.out)
+    ranked = list(enumerate(entries, start=1))
+    _render(
+        args,
+        lambda: {
+            "n": args.n,
+            "k": args.k,
+            "entries": [{"value": e.value, "trees": list(e.trees), "truncated": e.truncated} for e in entries],
+        },
+        lambda: [
+            ("rank", "value", "ties", "truncated"),
+            *((i, e.value, len(e.trees), int(e.truncated)) for i, e in ranked),
+        ],
+        lambda: [
+            f"#{i}: value {e.value}, {len(e.trees)} tree(s)" + (" (tie set truncated)" if e.truncated else "")
+            for i, e in ranked
+        ],
+    )
     return EXIT_OK
 
 
@@ -159,58 +165,28 @@ _CLOSED_FORMS = {
 
 def cmd_closed_form(args) -> int:
     result = _CLOSED_FORMS[args.which](args.n)
-    attaining = verify.describe_attaining(result)
-    if args.format == "structured":
-        payload = {
+    # The attaining trees as their family specs, in a fixed order.
+    attaining = sorted(str(item) for item in result.attaining)
+    _render(
+        args,
+        lambda: {
             "which": args.which,
             "n": args.n,
             "value": result.value,
-            "attaining": list(attaining),
+            "attaining": attaining,
             "notes": list(result.notes),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{args.which}({args.n}) = {result.value}"]
-        if attaining:
-            lines.append("attaining: " + ", ".join(attaining))
-        lines.extend(f"note: {note}" for note in result.notes)
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
-def _report_tabular(report: verify.VerificationReport) -> str:
-    lines = ["theorem\tn\tclaimed_value\toracle_value\tclaimed_set\toracle_set\tmatch\tnote"]
-    for r in report.records:
-        lines.append(
-            "\t".join(
-                [
-                    report.theorem,
-                    str(r.n),
-                    str(r.claimed_value),
-                    str(r.oracle_value),
-                    "|".join(r.claimed_set),
-                    "|".join(r.oracle_set),
-                    str(int(r.match)),
-                    r.note,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _report_human(report: verify.VerificationReport) -> str:
-    lines = [f"theorem: {report.theorem}"]
-    for r in report.records:
-        status = "PASS" if r.match else "FAIL"
-        line = f"  n={r.n}: {status} claimed={r.claimed_value} oracle={r.oracle_value}"
-        if r.note:
-            line += f"  [{r.note}]"
-        lines.append(line)
-    lines.append(
-        f"summary: checked={report.checked} passed={report.passed} "
-        f"failed={report.failed} wall_time={report.wall_time:.2f}s"
+        },
+        lambda: [
+            ("which", "n", "value", "attaining", "notes"),
+            (args.which, args.n, result.value, "|".join(attaining), "|".join(result.notes)),
+        ],
+        lambda: [
+            f"{args.which}({args.n}) = {result.value}",
+            *(["attaining: " + ", ".join(attaining)] if attaining else []),
+            *(f"note: {note}" for note in result.notes),
+        ],
     )
-    return "\n".join(lines) + "\n"
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -236,14 +212,28 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    if args.format == "structured":
-        body = report.to_dict()
-        body["wall_time"] = round(body["wall_time"], 6)
-        _emit(json.dumps(body, indent=2) + "\n", args.out)
-    elif args.format == "tabular":
-        _emit(_report_tabular(report), args.out)
-    else:
-        _emit(_report_human(report), args.out)
+    _render(
+        args,
+        lambda: {**report.to_dict(), "wall_time": round(report.wall_time, 6)},
+        lambda: [
+            ("theorem", "n", "claimed_value", "oracle_value", "claimed_set", "oracle_set", "match", "note"),
+            *(
+                (report.theorem, r.n, r.claimed_value, r.oracle_value,
+                 "|".join(r.claimed_set), "|".join(r.oracle_set), int(r.match), r.note)
+                for r in report.records
+            ),
+        ],
+        lambda: [
+            f"theorem: {report.theorem}",
+            *(
+                f"  n={r.n}: {'PASS' if r.match else 'FAIL'} claimed={r.claimed_value} oracle={r.oracle_value}"
+                + (f"  [{r.note}]" if r.note else "")
+                for r in report.records
+            ),
+            f"summary: checked={report.checked} passed={report.passed} "
+            f"failed={report.failed} wall_time={report.wall_time:.2f}s",
+        ],
+    )
     return EXIT_OK if report.all_match else EXIT_MISMATCH
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InternalCheckFailed, InvalidSpec, SpecParseError
+from .errors import DomainTooSmall, InternalCheckFailed, InvalidSpec, SpecParseError
 from .tree import Tree, from_edge_list
 
 
@@ -210,8 +210,19 @@ def parse_family_spec(text: str) -> DoubleStarSpec | Diam4Spec:
     raise SpecParseError(f"unrecognized family spec {text!r}")
 
 
+# A spec's n is read from its counts alone, so a short string can name a
+# tree far larger than memory.
+MAX_BUILD_N = 10**6
+
+
 def build(spec: DoubleStarSpec | Diam4Spec) -> Tree:
-    """Materialize either family spec to a tree."""
+    """Materialize either family spec to a tree.
+
+    Raises DomainTooSmall, before any edge is made, for a spec above
+    MAX_BUILD_N vertices.
+    """
+    if spec.n > MAX_BUILD_N:
+        raise DomainTooSmall(f"n={spec.n} exceeds the construction limit {MAX_BUILD_N}")
     if isinstance(spec, DoubleStarSpec):
         return double_star(spec)
     return diam4(spec)

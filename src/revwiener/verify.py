@@ -104,11 +104,6 @@ def attaining_codes(result: closed_forms.ExtremalResult) -> tuple[str, ...]:
     return tuple(sorted(codes))
 
 
-def describe_attaining(result: closed_forms.ExtremalResult) -> tuple[str, ...]:
-    """Human-oriented descriptor strings for an extremal result."""
-    return tuple(sorted(str(item) for item in result.attaining))
-
-
 def _record(n: int, claim, entry, note: str = "", mismatch_note: str = "") -> Record:
     """A claim's value and attaining set (an ExtremalResult) against the oracle's RankEntry.
 

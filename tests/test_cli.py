@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestConstruct:
         for spec in ("X(1)", "D(6,1)", "T(3)"):
             code, _, err = run(capsys, "construct", spec)
             assert code == EXIT_USAGE and "error:" in err
+
+    @pytest.mark.parametrize("spec, n", [("T(99999999999999^2)", 200000000000001), ("D(1000001,2)", 1000001)])
+    def test_spec_past_the_size_limit_is_usage(self, capsys, monkeypatch, spec, n):
+        def builder(spec):
+            raise AssertionError("a tree past the size limit was built")
+
+        monkeypatch.setattr("revwiener.families.diam4", builder)
+        monkeypatch.setattr("revwiener.families.double_star", builder)
+        code, out, err = run(capsys, "construct", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: n={n} exceeds the construction limit 1000000\n"
 
     def test_out_directory_is_usage(self, capsys, tmp_path):
         code, out, err = run(capsys, "construct", "D(6,3)", "--out", str(tmp_path))
@@ -390,6 +402,79 @@ def test_argument_rules_come_from_the_library(capsys, argv, call):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {exc.value}\n"
+
+
+# The exact bytes of every (subcommand, format) pair on one small input each.
+# "P4" in an argv stands for a file holding the path on four vertices.
+FORMATS = ("human", "structured", "tabular")
+D_6_3 = "6\n0 1\n0 2\n0 3\n1 4\n1 5\n"
+ENUM_5 = ["0-1 1-2 0-3 3-4", "0-1 1-2 0-3 0-4", "0-1 0-2 0-3 0-4"]
+ENUM_6_D3 = ["0-1 1-2 1-3 0-4 0-5", "0-1 1-2 0-3 0-4 0-5"]
+G4_9_NOTE = "claimed spec (n0=0, parts=[(0, 1), (1, -1), (2, 3)]) invalid: negative entry in raw parts: (1, -1)"
+F4_10 = "((()())(()())(()()))"
+WALL_TIME = re.compile(r'(wall_time"?[=:] ?)[0-9.e+-]+s?')
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _listing(argv, n, lines):
+    """Every format of an enumerate run whose trees print as ``lines``."""
+    trees = [{"n": n, "edges": [[int(v) for v in e.split("-")] for e in line.split()]} for line in lines]
+    text = "\n".join(lines) + "\n"
+    return [
+        (argv, "human", f"{text}total: {len(lines)}\n"),
+        (argv, "structured", _json({"count": len(trees), "trees": trees})),
+        (argv, "tabular", text),
+    ]
+
+
+EXACT_OUTPUT = [
+    (["stats", "P4"], "human", "n = 4\nwiener = 10\ndiameter = 3\nreverse_wiener = 8\ncenters = 1, 2\n"),
+    (["stats", "P4"], "structured", _json({"centers": [1, 2], "diameter": 3, "n": 4, "reverse_wiener": 8, "wiener": 10})),
+    (["stats", "P4"], "tabular", "n\twiener\tdiameter\treverse_wiener\tcenters\n4\t10\t3\t8\t1,2\n"),
+    # construct writes the edge-list format whatever --format says.
+    *((["construct", "D(6,3)"], fmt, D_6_3) for fmt in FORMATS),
+    *_listing(["enumerate", "--n", "5"], 5, ENUM_5),
+    *_listing(["enumerate", "--n", "6", "--diameter", "3"], 6, ENUM_6_D3),
+    (["rank", "--n", "8", "--k", "2"], "human", "#1: value 7, 1 tree(s)\n#2: value 26, 1 tree(s)\n"),
+    (["rank", "--n", "8", "--k", "2"], "structured", _json({"n": 8, "k": 2, "entries": [
+        {"value": 7, "trees": ["(()()()()()()())"], "truncated": False},
+        {"value": 26, "trees": ["((()()())()()())"], "truncated": False},
+    ]})),
+    (["rank", "--n", "8", "--k", "2"], "tabular", "rank\tvalue\tties\ttruncated\n1\t7\t1\t0\n2\t26\t1\t0\n"),
+    (["closed-form", "g4", "--n", "9"], "human", f"g4(9) = 56\nattaining: T(1^2, 3), T(3^2)\nnote: {G4_9_NOTE}\n"),
+    (["closed-form", "g4", "--n", "9"], "structured", _json({
+        "which": "g4", "n": 9, "value": 56, "attaining": ["T(1^2, 3)", "T(3^2)"], "notes": [G4_9_NOTE],
+    })),
+    (["closed-form", "g4", "--n", "9"], "tabular", f"which\tn\tvalue\tattaining\tnotes\ng4\t9\t56\tT(1^2, 3)|T(3^2)\t{G4_9_NOTE}\n"),
+    (["verify", "prop-f4", "--n", "10"], "human",
+     "theorem: prop-f4\n  n=10: PASS claimed=63 oracle=63\nsummary: checked=1 passed=1 failed=0 wall_time=0\n"),
+    (["verify", "prop-f4", "--n", "10"], "structured", _json({
+        "schema_version": "revwiener-report/1",
+        "theorem": "prop-f4",
+        "records": [{
+            "n": 10, "claimed_value": 63, "oracle_value": 63, "claimed_set": [F4_10],
+            "oracle_set": [F4_10], "match": True, "note": "",
+        }],
+        "summary": {"checked": 1, "passed": 1, "failed": 0},
+        "wall_time": 0,
+    })),
+    (["verify", "prop-f4", "--n", "10"], "tabular",
+     "theorem\tn\tclaimed_value\toracle_value\tclaimed_set\toracle_set\tmatch\tnote\n"
+     f"prop-f4\t10\t63\t63\t{F4_10}\t{F4_10}\t1\t\n"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, expected", EXACT_OUTPUT, ids=[f"{' '.join(a)} {f}" for a, f, _ in EXACT_OUTPUT])
+def test_exact_output(capsys, tmp_path, argv, fmt, expected):
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4\n0 1\n1 2\n2 3\n")
+    argv = [str(p4) if arg == "P4" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert WALL_TIME.sub(r"\g<1>0", out) == expected
 
 
 class TestInternalError:

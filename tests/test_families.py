@@ -2,8 +2,9 @@
 
 import pytest
 
-from revwiener.errors import InvalidSpec, SpecParseError
+from revwiener.errors import DomainTooSmall, InvalidSpec, SpecParseError
 from revwiener.families import (
+    MAX_BUILD_N,
     Diam4Spec,
     DoubleStarSpec,
     build,
@@ -188,6 +189,13 @@ class TestBuild:
     def test_deterministic_output(self):
         spec = parse_family_spec("T(n0=1; 2^2)")
         assert build(spec).edges == build(spec).edges
+
+    def test_size_limit(self, monkeypatch):
+        # The limit itself builds; one vertex more is refused before any edge is made.
+        monkeypatch.setattr("revwiener.families.double_star", lambda spec: spec.n)
+        assert build(DoubleStarSpec(n=MAX_BUILD_N, a=2)) == MAX_BUILD_N
+        with pytest.raises(DomainTooSmall, match=f"n={MAX_BUILD_N + 1} exceeds"):
+            build(DoubleStarSpec(n=MAX_BUILD_N + 1, a=2))
 
     def test_p4_is_both_a_double_star_and_a_path(self):
         assert canonical_code(build(DoubleStarSpec(n=4, a=2))) == canonical_code(path(4))
