@@ -48,13 +48,13 @@ def _tie_cap_from_env(k: int) -> int:
     return max(1, budget // (max(1, k) * 256))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise UnusablePath(f"cannot write {out}: {exc}") from exc
 
@@ -77,15 +77,19 @@ def _render(args, structured, tabular, human) -> None:
 
     Each argument builds a representation when called, so the formats not
     asked for cost nothing: ``structured`` returns a JSON payload,
-    ``tabular`` TSV rows (sequences of cells), ``human`` text lines.
+    ``tabular`` TSV rows (sequences of cells), ``human`` text lines.  The
+    JSON text of the whole payload is written in batches, never held whole.
     """
     if args.format == "structured":
-        text = json.dumps(structured(), indent=2) + "\n"
+        import itertools
+
+        parts = json.JSONEncoder(indent=2).iterencode(structured())
+        chunks = itertools.chain(iter(lambda: "".join(itertools.islice(parts, 65536)), ""), ["\n"])
     elif args.format == "tabular":
-        text = "\n".join("\t".join(map(str, row)) for row in tabular()) + "\n"
+        chunks = ["\n".join("\t".join(map(str, row)) for row in tabular()) + "\n"]
     else:
-        text = "\n".join(human()) + "\n"
-    _emit(text, args.out)
+        chunks = ["\n".join(human()) + "\n"]
+    _emit(chunks, args.out)
 
 
 def cmd_stats(args) -> int:
@@ -103,7 +107,7 @@ def cmd_stats(args) -> int:
 
 def cmd_construct(args) -> int:
     spec = parse_family_spec(args.spec)
-    _emit(format_edge_list(build(spec)), args.out)
+    _emit([format_edge_list(build(spec))], args.out)
     return EXIT_OK
 
 

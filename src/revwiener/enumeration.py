@@ -18,9 +18,10 @@ lowering of the valid prefix, and resumes at the smaller of the pivot
 and the lowest pivot of the trees it skipped.  Over all trees, an
 exact max-Wiener dynamic programme by height (Jordan's center theorem
 and the edge-cut sum, none of the paper's lemmas) bounds the reverse
-Wiener index of each height from below, and rank_trees skips the heights
-whose bound exceeds a cutoff seeded from every tree of center height at
-most 2: the star, the double stars and the diameter-4 classes.
+Wiener index of each diameter, and so of each height, from below, and
+rank_trees skips the heights whose bound exceeds a cutoff seeded from
+every tree of center height at most 2: the star, the double stars and
+the diameter-4 classes.
 Every walked tree must meet its height's bound, over all trees or in a
 diameter class, which walks only its own center height; a pruned ranking
 must also keep k values, the k-th at or below the cutoff.
@@ -270,7 +271,8 @@ def _free_tree_metrics(
     which is O(height).
 
     ``floors`` maps each center height h = max(levels) to walk to its
-    bound B(h) from _height_floors, by default every height.  Only the trees
+    bound B(h) from _height_floors, the smaller of the exact bounds of its
+    diameters 2h - 1 and 2h, by default every height.  Only the trees
     of those heights are walked and yielded; every other tree is still
     drawn from the generator but runs no pass.  The height is read off the
     pivot: a level sequence starts 0, 1, ..., h, and its successor keeps
@@ -350,43 +352,66 @@ def _free_tree_metrics(
         yield levels, d, lam
 
 
-def _max_wiener_by_height(n: int, height: int) -> list[int | None]:
-    """The largest Wiener index over the n-vertex trees of center height <= h, for h = 0..height.
+def _max_wiener_by_height(n: int, height: int) -> list[list[int | None]]:
+    """Rows best_h[m], m = 0..n, of the largest edge-cut sums by rooted height h = 0..height.
 
-    None where no tree has that height (h = 0 with n > 1).  Rooted at its
+    best_h[m] is the largest sum of s(n - s) over the subtree sizes s of
+    the non-root vertices of an m-vertex rooted tree of height <= h, None
+    where no such tree exists (m = 0, or m > 1 at h = 0).  Rooted at its
     center, a tree of center height <= h is a rooted tree of height <= h,
-    and rooted anywhere its W is the edge-cut sum s(n - s) over the subtree
-    sizes s of its non-root vertices.  best[m] is the largest such sum over
-    the m-vertex rooted trees of height <= h: an unbounded knapsack whose
-    items are the child subtrees, size i with value best[i] at height h - 1
-    plus i(n - i).  Each height costs O(n^2).
+    and rooted anywhere its W is the edge-cut sum, so best_h[n] is the
+    largest W over the n-vertex trees of center height <= h.  Each row is
+    an unbounded knapsack whose items are the child subtrees, size i with
+    value best_{h-1}[i] plus i(n - i).  Each height costs O(n^2).
     """
     best = [None] * (n + 1)
     best[1] = 0  # height 0: the one-vertex tree
-    out = [best[n]]
+    rows = [best]
     for _ in range(height):
         items = [(i, b + i * (n - i)) for i, b in enumerate(best[:n]) if b is not None]
         forest = [0] * n  # forest[t]: the best children of t vertices in all
         for t in range(1, n):
             forest[t] = max(forest[t - i] + v for i, v in items if i <= t)
         best = [None] + forest
-        out.append(best[n])
-    return out
+        rows.append(best)
+    return rows
+
+
+def lambda_lower_bounds(n: int) -> dict[int, int]:
+    """L(n, d) = n(n-1)d/2 - maxW(diameter <= d) for every diameter d that occurs on n vertices.
+
+    Every tree of diameter d has reverse Wiener index n(n-1)d/2 - W at
+    least L(n, d).  By Jordan's center theorem a tree of diameter <= 2h is
+    a rooted tree of height <= h, so maxW(<= 2h) = best_h[n] from
+    _max_wiener_by_height; one of diameter <= 2h + 1 is two such trees on
+    m and n - m vertices joined by an edge, which adds m(n - m) to W, so
+    maxW(<= 2h + 1) is the larger of best_h[n] and the largest
+    best_h[m] + best_h[n - m] + m(n - m).  One knapsack serves every d.
+    """
+    pairs = n * (n - 1) // 2
+    bounds = {}
+    for h, row in enumerate(_max_wiener_by_height(n, (n - 1) // 2)):
+        joined = [row[m] + row[n - m] + m * (n - m) for m in range(1, n) if None not in (row[m], row[n - m])]
+        # Every W is at least 0, so 0 stands in for a best_h[n] that does not exist.
+        for d, w in ((2 * h, row[n]), (2 * h + 1, max(joined + [row[n] or 0]))):
+            if min(2, n - 1) <= d <= n - 1:
+                bounds[d] = pairs * d - w
+    return bounds
 
 
 def _height_floors(n: int, diameter: int | None = None) -> dict[int, int]:
-    """B(h) = n(n-1)(2h-1)/2 - maxW(h) per center height h of an n-vertex tree.
+    """B(h) = min(L(n, 2h - 1), L(n, 2h)) per center height h of an n-vertex tree.
 
-    A tree of center height h has diameter 2h - 1 or 2h and W <= maxW(h),
-    so its reverse Wiener index n(n-1)d/2 - W is at least B(h).  Given
-    ``diameter``, only the height (diameter + 1) // 2 that its trees have.
+    A tree of center height h has diameter 2h - 1 or 2h, so its reverse
+    Wiener index is at least B(h), taking only the diameters that occur on
+    n vertices (h = 0 has B = 0 at n = 1).  Given ``diameter``, only the
+    height (diameter + 1) // 2 that its trees have, still with both of that
+    height's diameters: a class walk checks every tree it walks.
     """
-    pairs = n * (n - 1) // 2
-    floors = {
-        h: pairs * (2 * h - 1) - w
-        for h, w in enumerate(_max_wiener_by_height(n, n // 2))
-        if w is not None
-    }
+    floors: dict[int, int] = {}
+    for d, bound in lambda_lower_bounds(n).items():
+        h = (d + 1) // 2
+        floors[h] = min(bound, floors.get(h, bound))
     if diameter is None:
         return floors
     h = (diameter + 1) // 2
@@ -600,10 +625,11 @@ def rank_trees(
     Over all trees, when the trees of center height <= 2 (the star, the
     double stars and the diameter-4 classes) give at least k distinct
     values, the k-th smallest of them is a cutoff V (_seeded_cutoff): the
-    walk skips every center height h whose bound B(h) from _height_floors
-    exceeds V, since no tree there can reach the k smallest values or tie
-    with them.  It raises InternalCheckFailed if a walked tree falls below
-    its B(h), or if the kept values are fewer than k or the k-th exceeds V;
+    walk skips every center height h whose bound B(h) from _height_floors,
+    the smaller of lambda_lower_bounds at diameters 2h - 1 and 2h, exceeds
+    V, since no tree there can reach the k smallest values or tie with
+    them.  It raises InternalCheckFailed if a walked tree falls below its
+    B(h), or if the kept values are fewer than k or the k-th exceeds V;
     with fewer seeds than k the walk is unpruned.
     """
     if k < 1:

@@ -167,6 +167,14 @@ class TestEnumerate:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: no tree on {n} vertices has diameter {d}\n"
 
+    def test_structured_text_in_several_batches(self, capsys, tmp_path):
+        # At n = 13 the JSON encoder yields about 95,000 chunks, more than one batch.
+        code, out, _ = run(capsys, "enumerate", "--n", "13", "--format", "structured")
+        assert code == EXIT_OK and out == json.dumps(json.loads(out), indent=2) + "\n"
+        out_file = tmp_path / "trees.json"
+        assert run(capsys, "enumerate", "--n", "13", "--format", "structured", "--out", str(out_file))[0] == EXIT_OK
+        assert out_file.read_text(encoding="utf-8") == out
+
     @pytest.mark.parametrize("n, d", [(1, 0), (2, 1)])
     def test_diameter_of_the_smallest_trees(self, capsys, n, d):
         code, out, _ = run(capsys, "enumerate", "--n", str(n), "--diameter", str(d), "--format", "structured")

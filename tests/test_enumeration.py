@@ -22,6 +22,7 @@ from revwiener.enumeration import (
     free_tree_level_sequences,
     gen_diam4_specs,
     gen_free_trees,
+    lambda_lower_bounds,
     rank_trees,
 )
 from revwiener.errors import BoundExceeded, DomainTooSmall, EmptyClass, InternalCheckFailed
@@ -437,11 +438,20 @@ class TestHeightBound:
             if h in max_w:
                 best = max_w[h] if best is None else max(best, max_w[h])
             expected.append(best)
-        assert _max_wiener_by_height(n, n // 2 + 1) == expected
+        rows = _max_wiener_by_height(n, n // 2 + 1)
+        assert [row[n] for row in rows] == expected
         floors = _height_floors(n)
         assert sorted(floors) == sorted(min_lam)
         for h, lam in min_lam.items():
-            assert floors[h] == pairs * (2 * h - 1) - expected[h] <= lam, h
+            assert floors[h] == lam, h
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_lambda_lower_bounds_match_exhaustive(self, n):
+        # The bound of each diameter is the smallest Λ over its trees.
+        min_lam: dict[int, int] = {}
+        for _, d, lam in _free_tree_metrics(n):
+            min_lam[d] = min(min_lam.get(d, lam), lam)
+        assert lambda_lower_bounds(n) == min_lam
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_pruned_ranking_matches_unpruned_fill(self, n):
@@ -460,13 +470,16 @@ class TestHeightBound:
         assert _seeded_cutoff(17, 57) is not None
         assert _seeded_cutoff(17, 58) is None
 
-    def test_k50_keeps_heights_one_to_three(self):
+    def test_k50_keeps_heights_one_and_two(self):
         assert _seeded_cutoff(17, 50) == 230
-        for n in range(14, 23, 2):
+        for n in (14, *range(16, 23)):
             cutoff = _seeded_cutoff(n, 50)
-            assert [h for h, b in _height_floors(n).items() if b <= cutoff] == [1, 2, 3], n
+            assert [h for h, b in _height_floors(n).items() if b <= cutoff] == [1, 2], n
         # Fewer than 50 distinct seeds at n = 15: the walk stays unpruned.
         assert _seeded_cutoff(15, 50) is None
+        # B(3) = L(17, 5) = 234 > 230: at n = 17 the walk keeps 223 of the 48,629 trees.
+        kept = {h: b for h, b in _height_floors(17).items() if b <= 230}
+        assert sum(1 for _ in _free_tree_metrics(17, floors=kept)) == 223
 
     def test_seeds_are_the_trees_of_center_height_at_most_two(self):
         # From n = 3 on, where the star K(1,n-1) has center height 1 and value n - 1.
@@ -489,31 +502,30 @@ class TestHeightBound:
             assert walked == by_height[h], h
 
     def test_understated_max_wiener_raises(self, monkeypatch):
-        # B(2) raised to the third smallest value: height 2 is still walked,
-        # and its two double stars below that value break the bound.
+        # L(n, 3) raised to the third smallest value, so B(2) is too: height 2
+        # is still walked, and its two double stars below that value break the bound.
         n = 12
         third = rank_trees(n, 3)[2].value
-        real = enumeration._max_wiener_by_height
-        understated = n * (n - 1) // 2 * 3 - third
+        real = enumeration.lambda_lower_bounds
         monkeypatch.setattr(
-            enumeration,
-            "_max_wiener_by_height",
-            lambda m, height: [understated if h == 2 else w for h, w in enumerate(real(m, height))],
+            enumeration, "lambda_lower_bounds", lambda m: {d: third if d == 3 else b for d, b in real(m).items()}
         )
+        assert _height_floors(n)[2] == third
         with pytest.raises(InternalCheckFailed, match="below the height bound"):
             rank_trees(n, 3)
 
     def test_understated_max_wiener_raises_in_a_diameter_class(self, monkeypatch):
-        # B(3) raised just past the smallest value of diameter 5, a height-3 class.
+        # L(n, 5) and L(n, 6), so B(3), raised just past the smallest value of
+        # diameter 5, a height-3 class.
         n = 12
         smallest = rank_trees(n, 1, 5)[0].value
-        real = enumeration._max_wiener_by_height
-        understated = n * (n - 1) // 2 * 5 - smallest - 1
+        real = enumeration.lambda_lower_bounds
         monkeypatch.setattr(
             enumeration,
-            "_max_wiener_by_height",
-            lambda m, height: [understated if h == 3 else w for h, w in enumerate(real(m, height))],
+            "lambda_lower_bounds",
+            lambda m: {d: smallest + 1 if d in (5, 6) else b for d, b in real(m).items()},
         )
+        assert _height_floors(n, 5) == {3: smallest + 1}
         with pytest.raises(InternalCheckFailed, match="below the height bound"):
             rank_trees(n, 3, 5)
         with pytest.raises(InternalCheckFailed, match="below the height bound"):
